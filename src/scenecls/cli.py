@@ -8,6 +8,7 @@ predict (single WAV), report (accuracy tables from dumps).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, models, pipeline
-from .audio import AudioClip, downmix_mono, load_wav, normalize_amplitude, resample
 from .evaluation import CLASSES
 
 CACHE_ENV = "SCENECLS_CACHE"
@@ -30,32 +30,28 @@ def _default_cache():
 
 
 def _extract_one(args):
-    """Worker body: returns (clip_path, error message or None)."""
-    manifest_root, clip_path, variant_id, cache_dir = args
-    variant = features.VARIANTS[variant_id]
-    entry = pipeline.ManifestEntry(clip_path, CLASSES[0])  # label unused here
-    manifest = pipeline.DatasetManifest((entry,), Path(manifest_root))
+    """Worker body: returns an error message, or None on success."""
+    wav_path, variant_id, cache_dir = args
     try:
-        pipeline.clip_features(entry, manifest, variant, cache_dir)
-        return clip_path, None
+        pipeline.clip_features(wav_path, features.VARIANTS[variant_id], cache_dir)
+        return None
     except Exception as exc:  # per-file isolation: report, keep going
-        return clip_path, str(exc)
+        return str(exc)
 
 
 def cmd_extract(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     variant = features.VARIANTS[args.variant]
     Path(args.cache).mkdir(parents=True, exist_ok=True)
-    hits = sum(
-        1 for e in manifest.entries if pipeline.cache_path(args.cache, e.path, variant).exists()
-    )
-    jobs = [(str(manifest.root), e.path, variant.id, args.cache) for e in manifest.entries]
+    wavs = [manifest.root / e.path for e in manifest.entries]
+    hits = sum(1 for wav in wavs if pipeline.cache_path(args.cache, wav, variant).exists())
+    jobs = [(str(wav), variant.id, args.cache) for wav in wavs]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_extract_one, jobs))
     else:
         results = [_extract_one(j) for j in jobs]
-    failures = [(clip, err) for clip, err in results if err is not None]
+    failures = [(e.path, err) for e, err in zip(manifest.entries, results) if err is not None]
     done = len(results) - len(failures)
     print(f"extracted features for {done} clips ({hits} already cached) -> {args.cache}")
     for clip_path, err in failures:
@@ -158,17 +154,19 @@ def cmd_ensemble(args) -> int:
 def cmd_predict(args) -> int:
     graph = models.load_model(args.checkpoint)
     variant = graph.variant
-    clip = resample(normalize_amplitude(downmix_mono(load_wav(args.wav))), variant.sample_rate)
+    clip = pipeline.preprocess(args.wav, variant)
 
     want = 10 * variant.sample_rate
     x = clip.mono()
+    if len(x) == 0:
+        raise ValueError(f"{args.wav}: no audio samples")
     if len(x) < want:
         log.warning("clip is %.2f s, repeating to 10 s", clip.duration)
         x = np.tile(x, -(-want // len(x)))[:want]
     elif len(x) > want:
         log.warning("clip is %.2f s, using the first 10 s", clip.duration)
         x = x[:want]
-    clip = AudioClip(x[None, :], variant.sample_rate)
+    clip = dataclasses.replace(clip, samples=x[None, :])
 
     segs = features.segment(features.log_mel(clip, variant)).segments
     dist = evaluation.predict_clip(graph, segs)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn import atomic_path
 
 CLASSES = (
     "beach", "bus", "cafe/restaurant", "car", "city_center",
@@ -23,18 +24,22 @@ class EnsembleSelectionError(ValueError):
     """No valid ensemble can be formed from the given candidates."""
 
 
+def model_input(graph, segments: np.ndarray) -> np.ndarray:
+    """Segments (n, frames, mels) as the graph takes them: 2-D models get a
+    trailing channel axis, 1-D models take the mel bins as channels."""
+    return segments[..., None] if len(graph.input_shape) == 3 else segments
+
+
 def predict_clip(graph, segments: np.ndarray) -> np.ndarray:
     """Fuse one clip: mean of the per-segment softmax outputs, eval mode.
 
-    ``segments`` is (n_segments, frames, mels); a trailing channel axis is
-    added for 2-D models.
+    ``segments`` is (n_segments, frames, mels).
     """
     if segments.shape[0] != graph.variant.n_segments:
         raise ValueError(
             f"{graph.name} fuses {graph.variant.n_segments} segments, got {segments.shape[0]}"
         )
-    x = segments[..., None] if len(graph.input_shape) == 3 else segments
-    return graph.forward(x, train=False).mean(axis=0)
+    return graph.forward(model_input(graph, segments), train=False).mean(axis=0)
 
 
 def ensemble_geomean(dists) -> np.ndarray:
@@ -102,7 +107,6 @@ class EnsembleCandidate:
 @dataclass(frozen=True)
 class EnsembleSpec:
     members: tuple
-    rule: str = "geometric_mean"
 
 
 def _pairwise_disagreement(preds_a: np.ndarray, preds_b: np.ndarray) -> float:
@@ -196,10 +200,8 @@ def render_report(model_names, class_acc_columns, confusions=None):
 
 
 def write_text_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    with atomic_path(path) as tmp:
+        tmp.write_text(text)
 
 
 def write_prediction_dump(path, clip_ids, true_labels, probs: np.ndarray) -> None:

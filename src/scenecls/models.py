@@ -1,6 +1,13 @@
 """Model zoo: three small CNN families over log-mel segments, 15 scene classes.
 
-Registry names bind each architecture to the feature variant it consumes:
+A model is its canonical spec text: a header naming the model, its feature
+variant and its per-segment input shape, then one line per layer
+(``conv2d 16 7 7``, ``fire 16 64``, ``dense 512``, ...). `parse_model_spec`
+is the only constructor; it works out every layer's input channels and
+fan-in from the lines before it. Checkpoints embed the same text.
+
+The builders below only write spec lines. Registry names bind a builder
+call to the feature variant it consumes:
 
     cnn-v1     LeNet-style, 3x3 kernels, 44.1 kHz features (V2, 43x64)
     cnn-v2-1   LeNet-style, 3x3 kernels, 16 kHz features (V1, 111x64)
@@ -15,6 +22,8 @@ topologies at reduced size; defaults are the full configurations.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import nn
@@ -23,8 +32,23 @@ from .features import V1, V2, VARIANTS, FeatureVariant
 N_CLASSES = 15
 
 
-def _graph_2d(name, variant, layers):
-    return nn.ModelGraph(name, layers, (variant.segment_frames, variant.n_mels, 1), variant)
+def _conv_blocks(convs, pool: str) -> list:
+    """Conv-BN-ReLU blocks, one pooling line between consecutive blocks."""
+    lines = []
+    for i, conv in enumerate(convs):
+        lines += ([pool] if i else []) + [conv, "batchnorm", "relu"]
+    return lines
+
+
+def _dense_head(dropout_rate: float, dense_units: int) -> list:
+    return [f"dropout {float(dropout_rate)!r}", "flatten", f"dense {dense_units}", "relu",
+            f"dense {N_CLASSES}", "softmax"]
+
+
+def _spec_text(name: str, variant_id: str, input_shape, layer_lines) -> str:
+    lines = [f"name {name}", f"variant {variant_id}",
+             "input " + " ".join(str(d) for d in input_shape), *layer_lines]
+    return "\n".join(lines) + "\n"
 
 
 def build_lenet(kernel_size: int, variant: FeatureVariant, *, seed: int = 0,
@@ -34,25 +58,12 @@ def build_lenet(kernel_size: int, variant: FeatureVariant, *, seed: int = 0,
     then Dropout, Dense(dense_units)+ReLU, Dense(15), Softmax."""
     if kernel_size % 2 == 0:
         raise ValueError("kernel size must be odd")
-    rng = np.random.default_rng(seed)
-    k = kernel_size
-    f = base_filters
-    h, w = variant.segment_frames, variant.n_mels
-    h1, w1 = h // 3, w // 2
-    h2, w2 = h1 // 3, w1 // 2
-    layers = [
-        nn.Conv2D(1, f, k, k, rng), nn.BatchNorm(f), nn.ReLU(),
-        nn.MaxPool2D(3, 2),
-        nn.Conv2D(f, 2 * f, k, k, rng), nn.BatchNorm(2 * f), nn.ReLU(),
-        nn.MaxPool2D(3, 2),
-        nn.Conv2D(2 * f, 4 * f, k, k, rng), nn.BatchNorm(4 * f), nn.ReLU(),
-        nn.Dropout(dropout_rate),
-        nn.Flatten(),
-        nn.Dense(h2 * w2 * 4 * f, dense_units, rng), nn.ReLU(),
-        nn.Dense(dense_units, N_CLASSES, rng),
-        nn.Softmax(),
-    ]
-    return _graph_2d(name or f"lenet-{k}x{k}-{variant.id}", variant, layers)
+    k, f = kernel_size, base_filters
+    layers = _conv_blocks([f"conv2d {n} {k} {k}" for n in (f, 2 * f, 4 * f)], "maxpool2d 3 2")
+    layers += _dense_head(dropout_rate, dense_units)
+    text = _spec_text(name or f"lenet-{k}x{k}-{variant.id}", variant.id,
+                      (variant.segment_frames, variant.n_mels, 1), layers)
+    return parse_model_spec(text, seed)
 
 
 def build_squeezenet_mini(variant: FeatureVariant = V1, *, seed: int = 0,
@@ -60,76 +71,59 @@ def build_squeezenet_mini(variant: FeatureVariant = V1, *, seed: int = 0,
                           name: str | None = None) -> nn.ModelGraph:
     """Entry conv plus six fire modules separated by 2x2 pools, closed by a
     1x1 conv to 15 channels, global average pooling and softmax."""
-    rng = np.random.default_rng(seed)
 
     def ch(n):
         return max(1, round(n * width))
 
+    layers = [f"conv2d {ch(64)} 3 3", "batchnorm", "relu"]
     fires = [(16, 64), (16, 64), (32, 128), (32, 128), (48, 192), (64, 256)]
-    fires = [(ch(s), ch(e)) for s, e in fires]
-    f0 = ch(64)
-    layers = [
-        nn.Conv2D(1, f0, 3, 3, rng), nn.BatchNorm(f0), nn.ReLU(),
-        nn.MaxPool2D(2, 2),
-        nn.Fire(f0, *fires[0], rng),
-        nn.Fire(2 * fires[0][1], *fires[1], rng),
-        nn.MaxPool2D(2, 2),
-        nn.Fire(2 * fires[1][1], *fires[2], rng),
-        nn.Fire(2 * fires[2][1], *fires[3], rng),
-        nn.MaxPool2D(2, 2),
-        nn.Fire(2 * fires[3][1], *fires[4], rng),
-        nn.Fire(2 * fires[4][1], *fires[5], rng),
-        nn.Dropout(dropout_rate),
-        nn.Conv2D(2 * fires[5][1], N_CLASSES, 1, 1, rng), nn.BatchNorm(N_CLASSES), nn.ReLU(),
-        nn.GlobalAvgPool(),
-        nn.Softmax(),
-    ]
-    return _graph_2d(name or f"squeezenet-{variant.id}", variant, layers)
+    for i, (squeeze, expand) in enumerate(fires):
+        layers += (["maxpool2d 2 2"] if i % 2 == 0 else []) + [f"fire {ch(squeeze)} {ch(expand)}"]
+    layers += [f"dropout {float(dropout_rate)!r}", f"conv2d {N_CLASSES} 1 1", "batchnorm",
+               "relu", "globalavgpool", "softmax"]
+    text = _spec_text(name or f"squeezenet-{variant.id}", variant.id,
+                      (variant.segment_frames, variant.n_mels, 1), layers)
+    return parse_model_spec(text, seed)
 
 
 def build_cnn1d(variant: FeatureVariant = V1, *, seed: int = 0, width: float = 1.0,
                 dense_units: int = 512, dropout_rate: float = 0.5,
                 name: str | None = None) -> nn.ModelGraph:
     """Width-5 convolutions over time only; the 64 mel bins enter as channels."""
-    rng = np.random.default_rng(seed)
 
     def ch(n):
         return max(1, round(n * width))
 
-    t2 = variant.segment_frames // 3 // 3
-    layers = [
-        nn.Conv1D(variant.n_mels, ch(64), 5, rng), nn.BatchNorm(ch(64)), nn.ReLU(),
-        nn.MaxPool1D(3),
-        nn.Conv1D(ch(64), ch(128), 5, rng), nn.BatchNorm(ch(128)), nn.ReLU(),
-        nn.MaxPool1D(3),
-        nn.Conv1D(ch(128), ch(256), 5, rng), nn.BatchNorm(ch(256)), nn.ReLU(),
-        nn.Dropout(dropout_rate),
-        nn.Flatten(),
-        nn.Dense(t2 * ch(256), dense_units, rng), nn.ReLU(),
-        nn.Dense(dense_units, N_CLASSES, rng),
-        nn.Softmax(),
-    ]
-    return nn.ModelGraph(
-        name or f"cnn1d-{variant.id}", layers, (variant.segment_frames, variant.n_mels), variant
-    )
+    layers = _conv_blocks([f"conv1d {ch(n)} 5" for n in (64, 128, 256)], "maxpool1d 3")
+    layers += _dense_head(dropout_rate, dense_units)
+    text = _spec_text(name or f"cnn1d-{variant.id}", variant.id,
+                      (variant.segment_frames, variant.n_mels), layers)
+    return parse_model_spec(text, seed)
 
 
-MODEL_NAMES = ("cnn-v1", "cnn-v2-1", "cnn-v2-2", "cnn-v2-3", "squeezenet", "cnn-1d")
+# Registry: each model's feature variant and the builder call that makes it.
+REGISTRY = {
+    "cnn-v1": (V2, partial(build_lenet, 3)),
+    "cnn-v2-1": (V1, partial(build_lenet, 3)),
+    "cnn-v2-2": (V1, partial(build_lenet, 5)),
+    "cnn-v2-3": (V1, partial(build_lenet, 7)),
+    "squeezenet": (V1, build_squeezenet_mini),
+    "cnn-1d": (V1, build_cnn1d),
+}
+MODEL_NAMES = tuple(REGISTRY)
+
+
+def model_variant(model_name: str) -> FeatureVariant:
+    """The feature variant a registry model consumes."""
+    if model_name not in REGISTRY:
+        raise ValueError(f"unknown model {model_name!r}; valid: {', '.join(MODEL_NAMES)}")
+    return REGISTRY[model_name][0]
 
 
 def build_model(model_name: str, seed: int = 0) -> nn.ModelGraph:
     """Build a registry model with its bound feature variant."""
-    builders = {
-        "cnn-v1": lambda: build_lenet(3, V2, seed=seed, name="cnn-v1"),
-        "cnn-v2-1": lambda: build_lenet(3, V1, seed=seed, name="cnn-v2-1"),
-        "cnn-v2-2": lambda: build_lenet(5, V1, seed=seed, name="cnn-v2-2"),
-        "cnn-v2-3": lambda: build_lenet(7, V1, seed=seed, name="cnn-v2-3"),
-        "squeezenet": lambda: build_squeezenet_mini(V1, seed=seed, name="squeezenet"),
-        "cnn-1d": lambda: build_cnn1d(V1, seed=seed, name="cnn-1d"),
-    }
-    if model_name not in builders:
-        raise ValueError(f"unknown model {model_name!r}; valid: {', '.join(MODEL_NAMES)}")
-    return builders[model_name]()
+    variant = model_variant(model_name)
+    return REGISTRY[model_name][1](variant, seed=seed, name=model_name)
 
 
 def param_count(graph: nn.ModelGraph) -> int:
@@ -145,13 +139,8 @@ def param_count(graph: nn.ModelGraph) -> int:
 
 
 def format_model_spec(graph: nn.ModelGraph) -> str:
-    lines = [
-        f"name {graph.name}",
-        f"variant {graph.variant.id}",
-        "input " + " ".join(str(d) for d in graph.input_shape),
-    ]
-    lines += [layer.spec_line() for layer in graph.layers]
-    return "\n".join(lines) + "\n"
+    return _spec_text(graph.name, graph.variant.id, graph.input_shape,
+                      [layer.spec_line() for layer in graph.layers])
 
 
 def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
@@ -171,8 +160,7 @@ def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
     shape = input_shape
     layers = []
     for ln in lines[3:]:
-        parts = ln.split()
-        kind, args = parts[0], [p for p in parts[1:]]
+        kind, *args = ln.split()
         if kind == "conv2d":
             cout, kh, kw = map(int, args)
             layers.append(nn.Conv2D(shape[2], cout, kh, kw, rng))

@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 import struct
 from collections import OrderedDict
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -419,7 +421,7 @@ class Dropout(Layer):
         return gout * self._mask / (1.0 - self.rate)
 
     def spec_line(self):
-        return f"dropout {self.rate:g}"
+        return f"dropout {float(self.rate)!r}"  # repr: the rate reloads exactly
 
 
 class Softmax(Layer):
@@ -617,6 +619,22 @@ class Adadelta:
             p.value += self.lr * dx
 
 
+@contextmanager
+def atomic_path(path):
+    """Yield a per-process temp name beside ``path`` to write to.
+
+    The temp file is renamed onto ``path`` when the block succeeds and
+    removed when it raises, so readers never see a partial file.
+    """
+    tmp = Path(f"{path}.tmp.{os.getpid()}")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 _SPCK_MAGIC = b"SPCK"
 _SPCK_VERSION = 1
 
@@ -629,8 +647,7 @@ def write_checkpoint(path, spec_text: str, tensors) -> None:
     payload as little-endian float32. Written atomically via rename.
     """
     spec_bytes = spec_text.encode("utf-8")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_SPCK_MAGIC + struct.pack("<BI", _SPCK_VERSION, len(spec_bytes)) + spec_bytes)
         for name, arr in tensors:
             nb = name.encode("utf-8")
@@ -638,7 +655,6 @@ def write_checkpoint(path, spec_text: str, tensors) -> None:
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    os.replace(tmp, path)
 
 
 def read_checkpoint(path) -> tuple:

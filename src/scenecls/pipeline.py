@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, models, nn
-from .audio import downmix_mono, load_wav, normalize_amplitude, resample
+from .audio import AudioClip, downmix_mono, load_wav, normalize_amplitude, resample
 from .evaluation import CLASS_INDEX
 
 log = logging.getLogger(__name__)
@@ -89,29 +89,21 @@ class TrainConfig:
     lr: float = 1.0
     rho: float = 0.95
     eps: float = 1e-6
-    dropout: float = 0.5
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.model not in models.MODEL_NAMES:
-            raise ValueError(
-                f"unknown model {self.model!r}; valid: {', '.join(models.MODEL_NAMES)}"
-            )
+        models.model_variant(self.model)  # rejects names outside the registry
 
     @property
     def variant(self) -> features.FeatureVariant:
-        return _model_variant(self.model)
-
-
-def _model_variant(model_name: str) -> features.FeatureVariant:
-    return features.V2 if model_name == "cnn-v1" else features.V1
+        return models.model_variant(self.model)
 
 
 _INT_KEYS = {"batch_size", "epochs", "seed"}
-_FLOAT_KEYS = {"lr", "rho", "eps", "dropout"}
+_FLOAT_KEYS = {"lr", "rho", "eps"}
 
 
 def parse_config(path) -> TrainConfig:
@@ -129,8 +121,6 @@ def parse_config(path) -> TrainConfig:
                 values[key] = int(value)
             elif key in _FLOAT_KEYS:
                 values[key] = float(value)
-            elif key == "variant":
-                values[key] = value  # validated against the model below
             else:
                 values[key] = value
     variant = values.pop("variant", None)
@@ -138,10 +128,9 @@ def parse_config(path) -> TrainConfig:
         cfg = TrainConfig(**values)
     except TypeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if variant is not None and variant != _model_variant(cfg.model).id:
+    if variant is not None and variant != cfg.variant.id:
         raise ValueError(
-            f"{path}: model {cfg.model} uses variant {_model_variant(cfg.model).id}, "
-            f"config says {variant}"
+            f"{path}: model {cfg.model} uses variant {cfg.variant.id}, config says {variant}"
         )
     return cfg
 
@@ -169,26 +158,30 @@ class SegmentDataset:
         return flat, np.repeat(self.labels, n_seg)
 
 
-def cache_path(cache_dir, clip_path: str, variant: features.FeatureVariant) -> Path:
-    """Cache file keyed by the clip's manifest path and the feature variant."""
-    digest = hashlib.sha1(clip_path.encode("utf-8")).hexdigest()[:16]
-    stem = Path(clip_path).stem
-    return Path(cache_dir) / f"{stem}.{digest}.{variant.id}.lmsf"
+def cache_path(cache_dir, wav_path, variant: features.FeatureVariant) -> Path:
+    """Cache file keyed by the clip's resolved WAV path and the feature variant."""
+    digest = hashlib.sha1(str(Path(wav_path).resolve()).encode("utf-8")).hexdigest()[:16]
+    return Path(cache_dir) / f"{Path(wav_path).stem}.{digest}.{variant.id}.lmsf"
+
+
+def preprocess(wav_path, variant: features.FeatureVariant) -> AudioClip:
+    """WAV file to the variant's input waveform: decode, downmix, peak-normalize, resample."""
+    clip = normalize_amplitude(downmix_mono(load_wav(wav_path)))
+    return resample(clip, variant.sample_rate)
 
 
 def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
-    """WAV file to log-mel: decode, downmix, peak-normalize, resample."""
-    clip = normalize_amplitude(downmix_mono(load_wav(wav_path)))
-    return features.log_mel(resample(clip, variant.sample_rate), variant)
+    """WAV file to log-mel."""
+    return features.log_mel(preprocess(wav_path, variant), variant)
 
 
-def clip_features(entry: ManifestEntry, manifest: DatasetManifest,
-                  variant: features.FeatureVariant, cache_dir=None) -> features.LogMelSpectrogram:
+def clip_features(wav_path, variant: features.FeatureVariant,
+                  cache_dir=None) -> features.LogMelSpectrogram:
     """Fetch one clip's spectrogram, via the cache when possible."""
-    wav = manifest.root / entry.path
+    wav = Path(wav_path)
     if cache_dir is None:
         return extract_clip(wav, variant)
-    cpath = cache_path(cache_dir, entry.path, variant)
+    cpath = cache_path(cache_dir, wav, variant)
     if cpath.exists() and (not wav.exists() or os.path.getmtime(cpath) >= os.path.getmtime(wav)):
         spec = features.load_features(cpath)
         if spec.variant.id != variant.id:
@@ -196,9 +189,8 @@ def clip_features(entry: ManifestEntry, manifest: DatasetManifest,
         return spec
     spec = extract_clip(wav, variant)
     cpath.parent.mkdir(parents=True, exist_ok=True)
-    tmp = cpath.with_name(cpath.name + f".tmp{os.getpid()}")  # unique per worker
-    features.save_features(tmp, spec)
-    os.replace(tmp, cpath)
+    with nn.atomic_path(cpath) as tmp:
+        features.save_features(tmp, spec)
     return spec
 
 
@@ -206,7 +198,7 @@ def build_dataset(manifest: DatasetManifest, variant: features.FeatureVariant,
                   cache_dir=None) -> SegmentDataset:
     segs, labels, ids = [], [], []
     for entry in manifest.entries:
-        spec = clip_features(entry, manifest, variant, cache_dir)
+        spec = clip_features(manifest.root / entry.path, variant, cache_dir)
         segs.append(features.segment(spec, entry.path).segments)
         labels.append(entry.label_index)
         ids.append(entry.path)
@@ -253,10 +245,6 @@ class TrainHistory:
         evaluation.write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _model_input(x: np.ndarray, graph: nn.ModelGraph) -> np.ndarray:
-    return x[..., None] if len(graph.input_shape) == 3 else x
-
-
 def validate(graph: nn.ModelGraph, dataset: SegmentDataset) -> float:
     """Clip-level fused macro accuracy; never touches parameters or stats."""
     pairs = [
@@ -280,7 +268,7 @@ def train(graph: nn.ModelGraph, train_set: SegmentDataset, val_set: SegmentDatas
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     graph.seed_dropout(config.seed)
     xs, ys = train_set.flat_segments()
-    xs = _model_input(xs, graph)
+    xs = evaluation.model_input(graph, xs)
     batches = make_batches(len(ys), config.batch_size, int(seeds[1].generate_state(1)[0]))
     opt = nn.Adadelta(graph.parameters(), lr=config.lr, rho=config.rho, eps=config.eps)
 
