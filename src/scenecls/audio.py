@@ -155,7 +155,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         raise ValueError("target_rate must be positive")
     x = clip.mono()
     if target_rate > clip.sample_rate:
-        raise ValueError("resample only lowers the rate")
+        raise ValueError(f"resample only lowers the rate, not {clip.sample_rate} Hz"
+                         f" to {target_rate} Hz")
     if target_rate == clip.sample_rate:
         return clip
 

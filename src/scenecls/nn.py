@@ -6,9 +6,11 @@ Tensors are C-contiguous float64 ndarrays. Spatial layout is channels-last:
 pass; correctness is pinned by finite-difference tests rather than runtime
 checks.
 
-Convolutions are stride-1 with "same" zero padding and are evaluated as one
-matrix product per layer over im2col patch matrices. Max pooling windows
-equal their stride (non-overlapping) and drop trailing remainders.
+Convolutions are stride-1 with "same" zero padding. The forward pass and the
+kernel gradient are one matrix product each over an im2col patch matrix; the
+input gradient is one GEMM per kernel offset, added at that offset's shift,
+and a ModelGraph's first layer skips it. Max pooling windows equal their
+stride and drop trailing remainders. The 1-D layers are the width-1 2-D ones.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 class Layer:
     kind = "layer"
+    # ModelGraph clears this on its first layer, whose input gradient nothing
+    # reads; a layer that can then skip computing it returns None instead.
+    _input_grad = True
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -149,41 +154,47 @@ class Conv2D(Layer):
         self.bias = Parameter(np.zeros(out_channels))
         self._xp = None
 
+    def _kernels4(self):  # (out, kh, kw, in); Conv1D views its (out, k, in) this way
+        return self.kernels.value
+
     def _patches(self, xp, h, w):
-        kh, kw = self.kernels.value.shape[1:3]
+        kh, kw = self._kernels4().shape[1:3]
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
         # (N, H, W, Cin, kh, kw) -> rows ordered (kh, kw, Cin) to match kernels
         return win.transpose(0, 1, 2, 4, 5, 3).reshape(xp.shape[0] * h * w, -1)
 
     def forward(self, x, train=False):
-        cout, kh, kw, cin = self.kernels.value.shape
+        cout, kh, kw, cin = self._kernels4().shape
         if x.ndim != 4 or x.shape[3] != cin:
             raise ValueError(f"conv2d expects (N,H,W,{cin}) input, got {x.shape}")
         n, h, w = x.shape[:3]
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
         self._xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
         cols = self._patches(self._xp, h, w)
-        kmat = self.kernels.value.transpose(1, 2, 3, 0).reshape(-1, cout)
+        kmat = self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout)
         out = cols @ kmat + self.bias.value
         return out.reshape(n, h, w, cout)
 
     def backward(self, gout):
         xp = self._need_cache(self._xp)
-        cout, kh, kw, cin = self.kernels.value.shape
+        kernels = self._kernels4()
+        cout, kh, kw, cin = kernels.shape
         n, h, w = gout.shape[:3]
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
 
         gflat = gout.reshape(n * h * w, cout)
-        cols = self._patches(xp, h, w)
-        self.kernels.grad = (gflat.T @ cols).reshape(cout, kh, kw, cin)
+        self.kernels.grad = (gflat.T @ self._patches(xp, h, w)).reshape(self.kernels.value.shape)
         self.bias.grad = gflat.sum(axis=0)
+        if not self._input_grad:
+            return None
 
-        kmat = self.kernels.value.reshape(cout, -1)
-        gcols = (gflat @ kmat).reshape(n, h, w, kh, kw, cin)
+        # Offset (i, j) of every kernel read the padded input shifted by
+        # (i, j), so its share of the input gradient is one GEMM added there.
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, i : i + h, j : j + w, :] += gcols[:, :, :, i, j, :]
+                part = gflat @ kernels[:, i, j, :]
+                gxp[:, i : i + h, j : j + w, :] += part.reshape(n, h, w, cin)
+        ph, pw = (kh - 1) // 2, (kw - 1) // 2
         return gxp[:, ph : ph + h, pw : pw + w, :]
 
     def named_params(self):
@@ -194,55 +205,28 @@ class Conv2D(Layer):
         return f"conv2d {cout} {kh} {kw}"
 
 
-class Conv1D(Layer):
-    """Stride-1 same-padded 1-D convolution over time; kernels (out, k, in)."""
+class Conv1D(Conv2D):
+    """Stride-1 same-padded 1-D convolution over time; kernels (out, k, in).
+    The width-1 case of Conv2D: (N, T, C) runs as (N, T, 1, C)."""
 
     kind = "conv1d"
 
     def __init__(self, in_channels: int, out_channels: int, k: int, rng: np.random.Generator):
-        if k % 2 == 0:
-            raise ValueError("kernel width must be odd for same padding")
-        self.kernels = Parameter(
-            glorot_uniform(rng, (out_channels, k, in_channels), k * in_channels, k * out_channels)
-        )
-        self.bias = Parameter(np.zeros(out_channels))
-        self._xp = None
+        super().__init__(in_channels, out_channels, k, 1, rng)
+        self.kernels = Parameter(self.kernels.value[:, :, 0, :])
 
-    def _patches(self, xp, t):
-        k = self.kernels.value.shape[1]
-        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-        return win.transpose(0, 1, 3, 2).reshape(xp.shape[0] * t, -1)
+    def _kernels4(self):
+        return self.kernels.value[:, :, None, :]
 
     def forward(self, x, train=False):
-        cout, k, cin = self.kernels.value.shape
+        cin = self.kernels.value.shape[2]
         if x.ndim != 3 or x.shape[2] != cin:
             raise ValueError(f"conv1d expects (N,T,{cin}) input, got {x.shape}")
-        n, t = x.shape[:2]
-        p = (k - 1) // 2
-        self._xp = np.pad(x, ((0, 0), (p, p), (0, 0)))
-        cols = self._patches(self._xp, t)
-        kmat = self.kernels.value.transpose(1, 2, 0).reshape(-1, cout)
-        return (cols @ kmat + self.bias.value).reshape(n, t, cout)
+        return super().forward(x[:, :, None, :], train)[:, :, 0, :]
 
     def backward(self, gout):
-        xp = self._need_cache(self._xp)
-        cout, k, cin = self.kernels.value.shape
-        n, t = gout.shape[:2]
-        p = (k - 1) // 2
-
-        gflat = gout.reshape(n * t, cout)
-        cols = self._patches(xp, t)
-        self.kernels.grad = (gflat.T @ cols).reshape(cout, k, cin)
-        self.bias.grad = gflat.sum(axis=0)
-
-        gcols = (gflat @ self.kernels.value.reshape(cout, -1)).reshape(n, t, k, cin)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            gxp[:, i : i + t, :] += gcols[:, :, i, :]
-        return gxp[:, p : p + t, :]
-
-    def named_params(self):
-        return [("kernels", self.kernels), ("bias", self.bias)]
+        gx = super().backward(gout[:, :, None, :])
+        return None if gx is None else gx[:, :, 0, :]
 
     def spec_line(self):
         cout, k, _ = self.kernels.value.shape
@@ -271,31 +255,37 @@ class BatchNorm(Layer):
     def forward(self, x, train=False):
         if x.shape[0] == 0:
             raise ValueError("batchnorm on an empty batch")
-        axes = tuple(range(x.ndim - 1))
+        x2 = x.reshape(-1, x.shape[-1])
         if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mean = x2.mean(axis=0)
+            x_hat = x2 - mean
+            var = np.einsum("ij,ij->j", x_hat, x_hat) / len(x2)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mean, var = self.running_mean, self.running_var
+            x_hat = x2 - mean
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        m = x.size // x.shape[-1]
-        self._cache = (x_hat, inv_std, m, train)
-        return self.gain.value * x_hat + self.shift.value
+        x_hat *= inv_std
+        out = x_hat * self.gain.value
+        out += self.shift.value
+        self._cache = (x_hat, inv_std, train)
+        return out.reshape(x.shape)
 
     def backward(self, gout):
-        x_hat, inv_std, m, train = self._need_cache(self._cache)
-        axes = tuple(range(gout.ndim - 1))
-        self.gain.grad = (gout * x_hat).sum(axis=axes)
-        self.shift.grad = gout.sum(axis=axes)
+        x_hat, inv_std, train = self._need_cache(self._cache)
+        g2 = gout.reshape(x_hat.shape)
+        self.gain.grad = np.einsum("ij,ij->j", g2, x_hat)
+        self.shift.grad = g2.sum(axis=0)
         if not train:
             return gout * self.gain.value * inv_std
-        # batch statistics depend on every sample
-        return (self.gain.value * inv_std) * (
-            gout - self.shift.grad / m - x_hat * (self.gain.grad / m)
-        )
+        # gain * inv_std * (gout - shift.grad / m - x_hat * gain.grad / m), in one buffer
+        m = len(x_hat)
+        gx = x_hat * (self.gain.grad / m)
+        np.subtract(g2, gx, out=gx)
+        gx -= self.shift.grad / m
+        gx *= self.gain.value * inv_std
+        return gx.reshape(gout.shape)
 
     def named_params(self):
         return [("gain", self.gain), ("shift", self.shift)]
@@ -305,7 +295,8 @@ class BatchNorm(Layer):
 
 
 class MaxPool2D(Layer):
-    """Non-overlapping max pooling; remainder rows/cols are dropped."""
+    """Non-overlapping max pooling; remainder rows/cols are dropped. On ties
+    the gradient goes to the first maximum in row-major window order."""
 
     kind = "maxpool2d"
 
@@ -313,67 +304,52 @@ class MaxPool2D(Layer):
         self.ph, self.pw = ph, pw
         self._cache = None
 
+    def _windows(self, a, h2, w2):
+        """A view of ``a``'s pooled region as (N, H2, ph, W2, pw, C)."""
+        n, c = a.shape[0], a.shape[-1]
+        return a[:, : h2 * self.ph, : w2 * self.pw, :].reshape(n, h2, self.ph, w2, self.pw, c)
+
     def forward(self, x, train=False):
-        n, h, w, c = x.shape
+        h, w = x.shape[1:3]
         h2, w2 = h // self.ph, w // self.pw
         if h2 == 0 or w2 == 0:
             raise ValueError(f"pool window {self.ph}x{self.pw} larger than input {h}x{w}")
-        xc = x[:, : h2 * self.ph, : w2 * self.pw, :]
-        r = (
-            xc.reshape(n, h2, self.ph, w2, self.pw, c)
-            .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(n, h2, w2, self.ph * self.pw, c)
-        )
-        idx = r.argmax(axis=3)  # first occurrence wins on ties (row-major window scan)
-        out = np.take_along_axis(r, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        self._cache = (idx, x.shape)
+        win = self._windows(x, h2, w2)
+        out = win.max(axis=(2, 4))
+        # one byte per position: does it hold its window's maximum?
+        self._cache = (win == out[:, :, None, :, None, :], x.shape)
         return out
 
     def backward(self, gout):
-        idx, in_shape = self._need_cache(self._cache)
-        n, h, w, c = in_shape
-        h2, w2 = gout.shape[1], gout.shape[2]
-        gr = np.zeros((n, h2, w2, self.ph * self.pw, c))
-        np.put_along_axis(gr, idx[:, :, :, None, :], gout[:, :, :, None, :], axis=3)
+        hit, in_shape = self._need_cache(self._cache)
         gx = np.zeros(in_shape)
-        gx[:, : h2 * self.ph, : w2 * self.pw, :] = (
-            gr.reshape(n, h2, w2, self.ph, self.pw, c)
-            .transpose(0, 1, 3, 2, 4, 5)
-            .reshape(n, h2 * self.ph, w2 * self.pw, c)
-        )
+        gwin = self._windows(gx, gout.shape[1], gout.shape[2])
+        free = np.ones(gout.shape, dtype=bool)  # windows whose maximum is not yet routed
+        for i in range(self.ph):
+            for j in range(self.pw):
+                first = hit[:, :, i, :, j, :] & free
+                np.copyto(gwin[:, :, i, :, j, :], gout, where=first)
+                free &= ~first
         return gx
 
     def spec_line(self):
         return f"maxpool2d {self.ph} {self.pw}"
 
 
-class MaxPool1D(Layer):
+class MaxPool1D(MaxPool2D):
+    """Max pooling over time: the width-1 case of MaxPool2D on (N, T, 1, C)."""
+
     kind = "maxpool1d"
 
     def __init__(self, p: int):
+        super().__init__(p, 1)
         self.p = p
-        self._cache = None
 
     def forward(self, x, train=False):
-        n, t, c = x.shape
-        t2 = t // self.p
-        if t2 == 0:
-            raise ValueError(f"pool window {self.p} larger than input length {t}")
-        r = x[:, : t2 * self.p, :].reshape(n, t2, self.p, c)
-        idx = r.argmax(axis=2)
-        out = np.take_along_axis(r, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        self._cache = (idx, x.shape)
-        return out
+        return super().forward(x[:, :, None, :], train)[:, :, 0, :]
 
     def backward(self, gout):
-        idx, in_shape = self._need_cache(self._cache)
-        n, t, c = in_shape
-        t2 = gout.shape[1]
-        gr = np.zeros((n, t2, self.p, c))
-        np.put_along_axis(gr, idx[:, :, None, :], gout[:, :, None, :], axis=2)
-        gx = np.zeros(in_shape)
-        gx[:, : t2 * self.p, :] = gr.reshape(n, t2 * self.p, c)
-        return gx
+        return super().backward(gout[:, :, None, :])[:, :, 0, :]
 
     def spec_line(self):
         return f"maxpool1d {self.p}"
@@ -493,6 +469,7 @@ class ModelGraph:
         self.input_shape = tuple(input_shape)
         self.variant = variant
         for i, layer in enumerate(layers):
+            layer._input_grad = i > 0
             for local, p in layer.named_params():
                 p.name = f"{i:02d}.{layer.kind}.{local}"
 
@@ -504,14 +481,17 @@ class ModelGraph:
             x = layer.forward(x, train)
         return x
 
-    def backward_from_logits(self, dlogits: np.ndarray) -> np.ndarray:
-        """Backpropagate a gradient taken w.r.t. the final softmax's input."""
+    def backward_from_logits(self, dlogits: np.ndarray) -> None:
+        """Backpropagate a gradient taken w.r.t. the final softmax's input.
+
+        Returns None: the gradients land on the parameters. Each layer's
+        ``backward`` runs once, last to first; a first-layer convolution
+        computes no input gradient, since nothing would read it."""
         if not isinstance(self.layers[-1], Softmax):
             raise RuntimeError("graph does not end in softmax")
         g = dlogits
         for layer in reversed(self.layers[:-1]):
             g = layer.backward(g)
-        return g
 
     def parameters(self) -> list:
         return [p for layer in self.layers for _, p in layer.named_params()]
@@ -607,10 +587,12 @@ class Adadelta:
         self.lr, self.rho, self.eps = lr, rho, eps
 
     def step(self):
+        """Update every parameter, or none: all gradients are checked first."""
+        for p in self.params:
+            if not np.all(np.isfinite(p.grad)):
+                raise OptimizerError(f"non-finite gradient for {p.name or 'parameter'}")
         for p in self.params:
             g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise OptimizerError(f"non-finite gradient for {p.name or 'parameter'}")
             p.eg2 *= self.rho
             p.eg2 += (1.0 - self.rho) * g * g
             dx = -np.sqrt(p.edx2 + self.eps) / np.sqrt(p.eg2 + self.eps) * g

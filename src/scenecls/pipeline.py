@@ -167,7 +167,10 @@ def cache_path(cache_dir, wav_path, variant: features.FeatureVariant) -> Path:
 def preprocess(wav_path, variant: features.FeatureVariant) -> AudioClip:
     """WAV file to the variant's input waveform: decode, downmix, peak-normalize, resample."""
     clip = normalize_amplitude(downmix_mono(load_wav(wav_path)))
-    return resample(clip, variant.sample_rate)
+    try:
+        return resample(clip, variant.sample_rate)
+    except ValueError as exc:
+        raise ValueError(f"{wav_path}: {exc}") from None
 
 
 def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
