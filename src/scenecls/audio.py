@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from scipy.signal import upfirdn
 
 # Resampler design: windowed-sinc low-pass, Kaiser window, cutoff at half the
 # target rate. Fixed here so resampled output is reproducible bit-for-bit.
@@ -136,12 +136,15 @@ def normalize_amplitude(clip: AudioClip) -> AudioClip:
     return AudioClip((x / peak)[None, :], clip.sample_rate)
 
 
+@lru_cache(maxsize=8)
 def _design_lowpass(up: int, down: int) -> np.ndarray:
     # Sinc with zero crossings spaced `down` samples in the upsampled domain,
     # i.e. cutoff at the target Nyquist; gain `up` compensates zero insertion.
     half = SINC_ZERO_CROSSINGS * down
     n = np.arange(-half, half + 1)
-    return (up / down) * np.sinc(n / down) * np.kaiser(2 * half + 1, KAISER_BETA)
+    h = (up / down) * np.sinc(n / down) * np.kaiser(2 * half + 1, KAISER_BETA)
+    h.flags.writeable = False
+    return h
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
@@ -159,6 +162,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
                          f" to {target_rate} Hz")
     if target_rate == clip.sample_rate:
         return clip
+
+    # Imported here, its only use: importing scipy.signal takes about a second
+    # and tens of MB of RSS, which every command that never resamples would pay.
+    from scipy.signal import upfirdn
 
     g = gcd(clip.sample_rate, target_rate)
     up, down = target_rate // g, clip.sample_rate // g

@@ -44,7 +44,8 @@ def cmd_extract(args) -> int:
     variant = features.VARIANTS[args.variant]
     Path(args.cache).mkdir(parents=True, exist_ok=True)
     wavs = [manifest.root / e.path for e in manifest.entries]
-    hits = sum(1 for wav in wavs if pipeline.cache_path(args.cache, wav, variant).exists())
+    hits = sum(pipeline.cache_fresh(pipeline.cache_path(args.cache, wav, variant), wav)
+               for wav in wavs)
     jobs = [(str(wav), variant.id, args.cache) for wav in wavs]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -69,18 +70,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_checkpoint(checkpoint, manifest_path, cache_dir):
-    graph = models.load_model(checkpoint)
-    manifest = pipeline.load_manifest(manifest_path)
-    dataset = pipeline.build_dataset(manifest, graph.variant, cache_dir or None)
-    probs = np.stack(
-        [evaluation.predict_clip(graph, dataset.segments[i]) for i in range(dataset.n_clips)]
-    )
-    return graph, dataset, probs
-
-
 def cmd_evaluate(args) -> int:
-    graph, dataset, probs = _evaluate_checkpoint(args.checkpoint, args.manifest, args.cache)
+    graph = models.load_model(args.checkpoint)
+    manifest = pipeline.load_manifest(args.manifest)
+    dataset = pipeline.build_dataset(manifest, graph.variant, args.cache or None)
+    probs = evaluation.predict_clips(graph, dataset.segments)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -136,9 +130,7 @@ def cmd_ensemble(args) -> int:
         f"{c.name} ({100.0 * c.macro_acc:.1f})" for c in members
     ))
 
-    combined = np.stack(
-        [evaluation.ensemble_geomean([c.probs[i] for c in members]) for i in range(len(labels))]
-    )
+    combined = evaluation.ensemble_geomean([c.probs for c in members])
     cm = evaluation.confusion(list(zip(labels, combined)))
     text, _ = evaluation.render_report(["ensemble"], [evaluation.class_accuracy(cm)], [cm])
     print(text, end="")

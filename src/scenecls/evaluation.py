@@ -42,9 +42,15 @@ def predict_clip(graph, segments: np.ndarray) -> np.ndarray:
     return graph.forward(model_input(graph, segments), train=False).mean(axis=0)
 
 
-def ensemble_geomean(dists) -> np.ndarray:
-    """Elementwise geometric mean of probability vectors, renormalized.
+def predict_clips(graph, segments: np.ndarray) -> np.ndarray:
+    """`predict_clip` of each clip in (clips, n_segments, frames, mels): (clips, 15)."""
+    return np.stack([predict_clip(graph, clip) for clip in segments])
 
+
+def ensemble_geomean(dists) -> np.ndarray:
+    """Elementwise geometric mean over the first axis, renormalized over the last.
+
+    ``dists`` is (members, 15) for one clip or (members, clips, 15) for many.
     Entries are floored at 1e-12 before the log so a single zero cannot
     annihilate a class.
     """
@@ -52,7 +58,7 @@ def ensemble_geomean(dists) -> np.ndarray:
     if mat.shape[0] < 2:
         raise ValueError("geometric-mean ensembling needs at least 2 distributions")
     combined = np.exp(np.log(np.maximum(mat, GEOMEAN_FLOOR)).mean(axis=0))
-    return combined / combined.sum()
+    return combined / combined.sum(axis=-1, keepdims=True)
 
 
 def argmax_label(dist: np.ndarray) -> int:

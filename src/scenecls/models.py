@@ -27,9 +27,8 @@ from functools import partial
 import numpy as np
 
 from . import nn
+from .evaluation import N_CLASSES
 from .features import V1, V2, VARIANTS, FeatureVariant
-
-N_CLASSES = 15
 
 
 def _conv_blocks(convs, pool: str) -> list:

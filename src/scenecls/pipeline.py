@@ -86,9 +86,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 200
     seed: int = 0
-    lr: float = 1.0
-    rho: float = 0.95
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -103,11 +100,10 @@ class TrainConfig:
 
 
 _INT_KEYS = {"batch_size", "epochs", "seed"}
-_FLOAT_KEYS = {"lr", "rho", "eps"}
 
 
 def parse_config(path) -> TrainConfig:
-    """Read a key=value config file; # starts a comment."""
+    """Read a key=value config file; # starts a comment. Adadelta's constants are fixed."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -117,12 +113,7 @@ def parse_config(path) -> TrainConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (t.strip() for t in line.split("=", 1))
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = int(value) if key in _INT_KEYS else value
     variant = values.pop("variant", None)
     try:
         cfg = TrainConfig(**values)
@@ -164,6 +155,12 @@ def cache_path(cache_dir, wav_path, variant: features.FeatureVariant) -> Path:
     return Path(cache_dir) / f"{Path(wav_path).stem}.{digest}.{variant.id}.lmsf"
 
 
+def cache_fresh(cpath, wav) -> bool:
+    """The cache file exists and is no older than its WAV, or the WAV is gone."""
+    return os.path.exists(cpath) and (
+        not os.path.exists(wav) or os.path.getmtime(cpath) >= os.path.getmtime(wav))
+
+
 def preprocess(wav_path, variant: features.FeatureVariant) -> AudioClip:
     """WAV file to the variant's input waveform: decode, downmix, peak-normalize, resample."""
     clip = normalize_amplitude(downmix_mono(load_wav(wav_path)))
@@ -185,7 +182,7 @@ def clip_features(wav_path, variant: features.FeatureVariant,
     if cache_dir is None:
         return extract_clip(wav, variant)
     cpath = cache_path(cache_dir, wav, variant)
-    if cpath.exists() and (not wav.exists() or os.path.getmtime(cpath) >= os.path.getmtime(wav)):
+    if cache_fresh(cpath, wav):
         spec = features.load_features(cpath)
         if spec.variant.id != variant.id:
             raise ValueError(f"{cpath}: cached variant {spec.variant.id}, expected {variant.id}")
@@ -250,11 +247,8 @@ class TrainHistory:
 
 def validate(graph: nn.ModelGraph, dataset: SegmentDataset) -> float:
     """Clip-level fused macro accuracy; never touches parameters or stats."""
-    pairs = [
-        (dataset.labels[i], evaluation.predict_clip(graph, dataset.segments[i]))
-        for i in range(dataset.n_clips)
-    ]
-    return evaluation.macro_accuracy(evaluation.confusion(pairs))
+    probs = evaluation.predict_clips(graph, dataset.segments)
+    return evaluation.macro_accuracy(evaluation.confusion(zip(dataset.labels, probs)))
 
 
 def train(graph: nn.ModelGraph, train_set: SegmentDataset, val_set: SegmentDataset,
@@ -273,7 +267,7 @@ def train(graph: nn.ModelGraph, train_set: SegmentDataset, val_set: SegmentDatas
     xs, ys = train_set.flat_segments()
     xs = evaluation.model_input(graph, xs)
     batches = make_batches(len(ys), config.batch_size, int(seeds[1].generate_state(1)[0]))
-    opt = nn.Adadelta(graph.parameters(), lr=config.lr, rho=config.rho, eps=config.eps)
+    opt = nn.Adadelta(graph.parameters())
 
     history = TrainHistory()
     best_state = None
