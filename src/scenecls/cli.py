@@ -44,16 +44,17 @@ def cmd_extract(args) -> int:
     variant = features.VARIANTS[args.variant]
     Path(args.cache).mkdir(parents=True, exist_ok=True)
     wavs = [manifest.root / e.path for e in manifest.entries]
-    hits = sum(pipeline.cache_fresh(pipeline.cache_path(args.cache, wav, variant), wav)
-               for wav in wavs)
-    jobs = [(str(wav), variant.id, args.cache) for wav in wavs]
+    stale = [(e, wav) for e, wav in zip(manifest.entries, wavs)
+             if not pipeline.cache_fresh(pipeline.cache_path(args.cache, wav, variant), wav)]
+    hits = len(wavs) - len(stale)
+    jobs = [(str(wav), variant.id, args.cache) for _, wav in stale]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_extract_one, jobs))
     else:
         results = [_extract_one(j) for j in jobs]
-    failures = [(e.path, err) for e, err in zip(manifest.entries, results) if err is not None]
-    done = len(results) - len(failures)
+    failures = [(e.path, err) for (e, _), err in zip(stale, results) if err is not None]
+    done = len(wavs) - len(failures)
     print(f"extracted features for {done} clips ({hits} already cached) -> {args.cache}")
     for clip_path, err in failures:
         print(f"FAILED {clip_path}: {err}", file=sys.stderr)

@@ -208,9 +208,10 @@ def save_model(graph: nn.ModelGraph, path) -> None:
 
 
 def load_model(path) -> nn.ModelGraph:
-    """Rebuild a graph from a checkpoint, restoring parameters, running
-    statistics and optimizer accumulators."""
+    """Rebuild a float32 graph from a checkpoint, restoring parameters, running
+    statistics and optimizer accumulators (exactly: checkpoints store float32)."""
     spec_text, tensors = nn.read_checkpoint(path)
     graph = parse_model_spec(spec_text)
+    graph.cast(np.float32)
     graph.load_state(tensors)
     return graph

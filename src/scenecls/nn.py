@@ -1,10 +1,17 @@
-"""Minimal deterministic neural-network engine on numpy float64 arrays.
+"""Minimal deterministic neural-network engine on numpy arrays.
 
-Tensors are C-contiguous float64 ndarrays. Spatial layout is channels-last:
-2-D feature maps are (batch, height, width, channels), 1-D sequences are
-(batch, time, channels). Every layer implements an exact analytic backward
-pass; correctness is pinned by finite-difference tests rather than runtime
-checks.
+Tensors are C-contiguous ndarrays in their ModelGraph's ``dtype``. A graph
+is float64 as built (by `models.build_model`, `models.parse_model_spec` or
+directly), and the finite-difference and oracle tests run on that.
+`pipeline.train` and `models.load_model` cast theirs to float32, the one
+precision that training, inference and checkpoints use. Every layer keeps
+its input's dtype, except that Softmax returns its 15-wide output in
+float64, so fused rows sum to 1 within 1e-8.
+
+Spatial layout is channels-last: 2-D feature maps are (batch, height,
+width, channels), 1-D sequences are (batch, time, channels). Every layer
+implements an exact analytic backward pass; correctness is pinned by
+finite-difference tests rather than runtime checks.
 
 Convolutions are stride-1 with "same" zero padding. The forward pass and the
 kernel gradient are one matrix product each over an im2col patch matrix; the
@@ -40,9 +47,10 @@ class Parameter:
     def __init__(self, value: np.ndarray, name: str = ""):
         self.name = name
         self.value = np.ascontiguousarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-        self.eg2 = np.zeros_like(self.value)   # running E[g^2]
-        self.edx2 = np.zeros_like(self.value)  # running E[dx^2]
+        # np.zeros, not zeros_like: calloc'd pages cost nothing until written
+        self.grad = np.zeros(self.value.shape)
+        self.eg2 = np.zeros(self.value.shape)   # running E[g^2]
+        self.edx2 = np.zeros(self.value.shape)  # running E[dx^2]
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -86,7 +94,11 @@ class ReLU(Layer):
 
     def forward(self, x, train=False):
         self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
+        # np.where(mask, x, 0.0) bit for bit (NaN -> 0, -0.0 -> +0.0), but
+        # branch-free: where's cost grows fivefold as the signs mix
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, gout):
         return gout * self._need_cache(self._mask)
@@ -322,7 +334,7 @@ class MaxPool2D(Layer):
 
     def backward(self, gout):
         hit, in_shape = self._need_cache(self._cache)
-        gx = np.zeros(in_shape)
+        gx = np.zeros(in_shape, gout.dtype)
         gwin = self._windows(gx, gout.shape[1], gout.shape[2])
         free = np.ones(gout.shape, dtype=bool)  # windows whose maximum is not yet routed
         for i in range(self.ph):
@@ -409,6 +421,7 @@ class Softmax(Layer):
         self._out = None
 
     def forward(self, x, train=False):
+        x = np.asarray(x, dtype=np.float64)
         z = np.exp(x - x.max(axis=-1, keepdims=True))
         self._out = z / z.sum(axis=-1, keepdims=True)
         return self._out
@@ -468,13 +481,14 @@ class ModelGraph:
         self.layers = layers
         self.input_shape = tuple(input_shape)
         self.variant = variant
+        self.dtype = np.dtype(np.float64)
         for i, layer in enumerate(layers):
             layer._input_grad = i > 0
             for local, p in layer.named_params():
                 p.name = f"{i:02d}.{layer.kind}.{local}"
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"{self.name} expects input {self.input_shape}, got {x.shape[1:]}")
         for layer in self.layers:
@@ -489,12 +503,24 @@ class ModelGraph:
         computes no input gradient, since nothing would read it."""
         if not isinstance(self.layers[-1], Softmax):
             raise RuntimeError("graph does not end in softmax")
-        g = dlogits
+        g = dlogits.astype(self.dtype, copy=False)
         for layer in reversed(self.layers[:-1]):
             g = layer.backward(g)
 
     def parameters(self) -> list:
         return [p for layer in self.layers for _, p in layer.named_params()]
+
+    def cast(self, dtype) -> None:
+        """Compute in ``dtype`` from now on: converts every parameter with its
+        Adadelta accumulators and every running statistic; gradients restart at zero."""
+        self.dtype = np.dtype(dtype)
+        for p in self.parameters():
+            p.value, p.eg2, p.edx2 = (a.astype(dtype) for a in (p.value, p.eg2, p.edx2))
+            p.grad = np.zeros(p.value.shape, dtype)
+        for layer in self.layers:
+            if isinstance(layer, BatchNorm):
+                layer.running_mean = layer.running_mean.astype(dtype)
+                layer.running_var = layer.running_var.astype(dtype)
 
     def state_tensors(self):
         """All persistent tensors in declaration order, as (name, array) refs.
@@ -640,7 +666,8 @@ def write_checkpoint(path, spec_text: str, tensors) -> None:
 
 
 def read_checkpoint(path) -> tuple:
-    """Read back (spec_text, OrderedDict of float64 tensors)."""
+    """Read back (spec_text, OrderedDict of float32 tensors), each a read-only
+    view of the bytes read from the file."""
 
     def take(fh, n, what):
         b = fh.read(n)
@@ -668,5 +695,5 @@ def read_checkpoint(path) -> tuple:
             dims = struct.unpack(f"<{rank}I", take(fh, 4 * rank, "dims"))
             count = int(np.prod(dims)) if rank else 1
             payload = take(fh, 4 * count, f"payload of {name}")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     return spec_text, tensors

@@ -25,7 +25,7 @@ log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during fitting."""
+    """Loss or gradient became non-finite during fitting."""
 
 
 @dataclass(frozen=True)
@@ -253,15 +253,19 @@ def validate(graph: nn.ModelGraph, dataset: SegmentDataset) -> float:
 
 def train(graph: nn.ModelGraph, train_set: SegmentDataset, val_set: SegmentDataset,
           config: TrainConfig) -> TrainHistory:
-    """Fit the graph, leaving it loaded with the best-validation snapshot.
+    """Fit the graph in float32, leaving it loaded with the best-validation
+    snapshot.
 
     The snapshot is atomic: parameters, batch-norm running statistics and
-    Adadelta accumulators all come from the same epoch.
+    Adadelta accumulators all come from the same epoch. It holds the values
+    a checkpoint stores, and the same seed trains the same whether features
+    come from the extractor or from the float32 cache.
     """
     overlap = set(train_set.clip_ids) & set(val_set.clip_ids)
     if overlap:
         raise ValueError(f"clips present in both train and validation: {sorted(overlap)[:3]}")
 
+    graph.cast(np.float32)
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     graph.seed_dropout(config.seed)
     xs, ys = train_set.flat_segments()
@@ -278,7 +282,10 @@ def train(graph: nn.ModelGraph, train_set: SegmentDataset, val_set: SegmentDatas
             loss, probs = nn.loss_and_gradients(graph, xs[idx], ys[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
-            opt.step()
+            try:
+                opt.step()  # all or nothing: no parameter changes if it raises
+            except nn.OptimizerError as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {b}") from exc
             loss_sum += loss * len(idx)
             correct += int((np.argmax(probs, axis=1) == ys[idx]).sum())
         val_macro = validate(graph, val_set)
