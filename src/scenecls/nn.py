@@ -13,11 +13,15 @@ width, channels), 1-D sequences are (batch, time, channels). Every layer
 implements an exact analytic backward pass; correctness is pinned by
 finite-difference tests rather than runtime checks.
 
-Convolutions are stride-1 with "same" zero padding. The forward pass and the
-kernel gradient are one matrix product each over an im2col patch matrix; the
-input gradient is one GEMM per kernel offset, added at that offset's shift,
-and a ModelGraph's first layer skips it. Max pooling windows equal their
-stride and drop trailing remainders. The 1-D layers are the width-1 2-D ones.
+Convolutions are stride-1 with "same" zero padding, computed as im2col plus
+GEMM over blocks of whole samples of about _BLOCK_BYTES patch bytes each, so
+no patch matrix of the whole batch is ever built. The forward pass writes
+each block's output rows, and how the batch is cut changes none of their
+bits; the kernel gradient sums one product per block; the input gradient is
+the same blocked convolution of the output gradient by the flipped,
+in/out-swapped kernels, and a ModelGraph's first layer skips it. Max pooling
+windows equal their stride and drop trailing remainders. The 1-D layers are
+the width-1 2-D ones.
 """
 
 from __future__ import annotations
@@ -149,6 +153,46 @@ class Dense(Layer):
         return f"dense {self.weights.value.shape[0]}"
 
 
+# Patch-matrix bytes per batch block, so that a block's patch rows are still
+# in cache when its GEMM reads them. 2 MiB is one core's L2 on the Xeon it was
+# tuned on (one BLAS thread): float32 training steps ran 0-10% faster than at
+# 1 MiB and level with 4 MiB.
+_BLOCK_BYTES = 2 << 20
+
+
+def _patch_blocks(x, kh, kw):
+    """Yield (row slice, patch matrix) for each block of whole samples of
+    ``x`` (N, H, W, C), "same" zero-padded for a kh x kw kernel.
+
+    A block's patch rows are its output positions in (n, h, w) order, its
+    columns (kh, kw, C) ordered to match the kernels. A block holds as many
+    samples as fit in _BLOCK_BYTES of patches, at least one; a batch that
+    fits whole is one block.
+    """
+    n, h, w, c = x.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    step = max(1, _BLOCK_BYTES // (h * w * kh * kw * c * x.itemsize))
+    for s in range(0, n, step):
+        block = x[s : s + step]
+        if ph or pw:
+            block = np.pad(block, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+            win = np.lib.stride_tricks.sliding_window_view(block, (kh, kw), axis=(1, 2))
+            cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c)
+        else:
+            cols = block.reshape(-1, c)
+        yield slice(s * h * w, s * h * w + len(cols)), cols
+
+
+def _conv_same(x, kmat, kh, kw):
+    """Same-padded stride-1 convolution of ``x`` (N, H, W, C) by ``kmat``
+    (kh*kw*C, out), without bias: one GEMM per batch block into the output."""
+    n, h, w = x.shape[:3]
+    out = np.empty((n * h * w, kmat.shape[1]), np.result_type(x, kmat))
+    for rows, cols in _patch_blocks(x, kh, kw):
+        np.matmul(cols, kmat, out=out[rows])
+    return out.reshape(n, h, w, -1)
+
+
 class Conv2D(Layer):
     """Stride-1 same-padded 2-D convolution; kernels are (out, kh, kw, in)."""
 
@@ -164,50 +208,36 @@ class Conv2D(Layer):
             glorot_uniform(rng, (out_channels, kh, kw, in_channels), fan_in, fan_out)
         )
         self.bias = Parameter(np.zeros(out_channels))
-        self._xp = None
+        self._x = None
 
     def _kernels4(self):  # (out, kh, kw, in); Conv1D views its (out, k, in) this way
         return self.kernels.value
-
-    def _patches(self, xp, h, w):
-        kh, kw = self._kernels4().shape[1:3]
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-        # (N, H, W, Cin, kh, kw) -> rows ordered (kh, kw, Cin) to match kernels
-        return win.transpose(0, 1, 2, 4, 5, 3).reshape(xp.shape[0] * h * w, -1)
 
     def forward(self, x, train=False):
         cout, kh, kw, cin = self._kernels4().shape
         if x.ndim != 4 or x.shape[3] != cin:
             raise ValueError(f"conv2d expects (N,H,W,{cin}) input, got {x.shape}")
-        n, h, w = x.shape[:3]
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        self._xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-        cols = self._patches(self._xp, h, w)
-        kmat = self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout)
-        out = cols @ kmat + self.bias.value
-        return out.reshape(n, h, w, cout)
+        self._x = x
+        out = _conv_same(x, self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout), kh, kw)
+        out += self.bias.value
+        return out
 
     def backward(self, gout):
-        xp = self._need_cache(self._xp)
+        x = self._need_cache(self._x)
         kernels = self._kernels4()
         cout, kh, kw, cin = kernels.shape
-        n, h, w = gout.shape[:3]
-
-        gflat = gout.reshape(n * h * w, cout)
-        self.kernels.grad = (gflat.T @ self._patches(xp, h, w)).reshape(self.kernels.value.shape)
+        gflat = gout.reshape(-1, cout)
+        gk = np.zeros((cout, kh * kw * cin), np.result_type(gout, x))
+        for rows, cols in _patch_blocks(x, kh, kw):
+            gk += gflat[rows].T @ cols
+        self.kernels.grad = gk.reshape(self.kernels.value.shape)
         self.bias.grad = gflat.sum(axis=0)
         if not self._input_grad:
             return None
-
-        # Offset (i, j) of every kernel read the padded input shifted by
-        # (i, j), so its share of the input gradient is one GEMM added there.
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                part = gflat @ kernels[:, i, j, :]
-                gxp[:, i : i + h, j : j + w, :] += part.reshape(n, h, w, cin)
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
-        return gxp[:, ph : ph + h, pw : pw + w, :]
+        # The adjoint of a same-padded odd-kernel convolution is the same
+        # convolution of gout with each kernel flipped and in/out swapped.
+        flipped = kernels[:, ::-1, ::-1, :].transpose(1, 2, 0, 3).reshape(-1, cin)
+        return _conv_same(gout, flipped, kh, kw)
 
     def named_params(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
@@ -340,7 +370,8 @@ class MaxPool2D(Layer):
         for i in range(self.ph):
             for j in range(self.pw):
                 first = hit[:, :, i, :, j, :] & free
-                np.copyto(gwin[:, :, i, :, j, :], gout, where=first)
+                # branch-free, unlike copyto(where=first), whose cost follows the hits
+                np.multiply(gout, first, out=gwin[:, :, i, :, j, :])
                 free &= ~first
         return gx
 
