@@ -107,6 +107,8 @@ def load_wav(path) -> AudioClip:
         raise UnsupportedWavError(f"{path}: {channels} channels (only mono/stereo)")
     if block_align != channels * bits // 8:
         raise WavDecodeError(f"{path}: inconsistent block alignment")
+    if rate == 0:
+        raise WavDecodeError(f"{path}: sample rate 0")
 
     frames = len(payload) // block_align
     payload = payload[: frames * block_align]

@@ -2,13 +2,13 @@
 
 Subcommands: extract (feature cache), train, evaluate (prediction dump plus
 metrics), ensemble (member selection and geometric-mean fusion over dumps),
-predict (single WAV), report (accuracy tables from dumps).
+predict (single WAV, with features computed as extract and evaluate compute
+them), report (accuracy tables from dumps).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -21,8 +21,6 @@ from . import evaluation, features, models, pipeline
 from .evaluation import CLASSES
 
 CACHE_ENV = "SCENECLS_CACHE"
-
-log = logging.getLogger("scenecls")
 
 
 def _default_cache():
@@ -146,22 +144,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_predict(args) -> int:
     graph = models.load_model(args.checkpoint)
-    variant = graph.variant
-    clip = pipeline.preprocess(args.wav, variant)
-
-    want = 10 * variant.sample_rate
-    x = clip.mono()
-    if len(x) == 0:
-        raise ValueError(f"{args.wav}: no audio samples")
-    if len(x) < want:
-        log.warning("clip is %.2f s, repeating to 10 s", clip.duration)
-        x = np.tile(x, -(-want // len(x)))[:want]
-    elif len(x) > want:
-        log.warning("clip is %.2f s, using the first 10 s", clip.duration)
-        x = x[:want]
-    clip = dataclasses.replace(clip, samples=x[None, :])
-
-    segs = features.segment(features.log_mel(clip, variant)).segments
+    segs = features.segment(pipeline.extract_clip(args.wav, graph.variant)).segments
     dist = evaluation.predict_clip(graph, segs)
     print(f"label: {CLASSES[evaluation.argmax_label(dist)]}")
     for name, p in sorted(zip(CLASSES, dist), key=lambda t: -t[1]):

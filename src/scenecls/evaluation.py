@@ -234,5 +234,8 @@ def read_prediction_dump(path):
                 raise ValueError(f"{path}:{lineno}: unknown label {parts[1]!r}")
             clip_ids.append(parts[0])
             labels.append(CLASS_INDEX[parts[1]])
-            rows.append([float(v) for v in parts[2:]])
+            try:
+                rows.append([float(v) for v in parts[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return clip_ids, np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)

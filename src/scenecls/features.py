@@ -200,7 +200,8 @@ def save_features(path, spec: LogMelSpectrogram) -> None:
 
 
 def load_features(path) -> LogMelSpectrogram:
-    """Read a cache file back; values carry 32-bit precision."""
+    """Read a cache file back as a read-only float32 view of its bytes. A header
+    shape other than its variant's fails before any payload read."""
     with open(path, "rb") as fh:
         header = fh.read(14)
         if len(header) != 14 or header[:4] != _LMSF_MAGIC:
@@ -210,8 +211,11 @@ def load_features(path) -> LogMelSpectrogram:
             raise ValueError(f"{path}: unsupported cache version {version}")
         if code not in _CODE_VARIANTS:
             raise ValueError(f"{path}: unknown variant code {code}")
+        variant = _CODE_VARIANTS[code]
+        if (rows, cols) != (variant.total_frames, variant.n_mels):
+            raise ValueError(f"{path}: {rows}x{cols} matrix, variant {variant.id} "
+                             f"has {variant.total_frames}x{variant.n_mels}")
         payload = fh.read(rows * cols * 4)
     if len(payload) != rows * cols * 4:
         raise ValueError(f"{path}: truncated payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    return LogMelSpectrogram(data, _CODE_VARIANTS[code])
+    return LogMelSpectrogram(np.frombuffer(payload, dtype="<f4").reshape(rows, cols), variant)

@@ -26,6 +26,7 @@ the width-1 2-D ones.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -78,7 +79,8 @@ class Layer:
         return []
 
     def extra_state(self):
-        """Non-trainable tensors that belong in checkpoints (running stats)."""
+        """Non-trainable tensors that belong in checkpoints (running stats),
+        as (attribute name, array) pairs."""
         return []
 
     def spec_line(self) -> str:
@@ -549,9 +551,8 @@ class ModelGraph:
             p.value, p.eg2, p.edx2 = (a.astype(dtype) for a in (p.value, p.eg2, p.edx2))
             p.grad = np.zeros(p.value.shape, dtype)
         for layer in self.layers:
-            if isinstance(layer, BatchNorm):
-                layer.running_mean = layer.running_mean.astype(dtype)
-                layer.running_var = layer.running_var.astype(dtype)
+            for local, arr in layer.extra_state():
+                setattr(layer, local, arr.astype(dtype))
 
     def state_tensors(self):
         """All persistent tensors in declaration order, as (name, array) refs.
@@ -698,33 +699,32 @@ def write_checkpoint(path, spec_text: str, tensors) -> None:
 
 def read_checkpoint(path) -> tuple:
     """Read back (spec_text, OrderedDict of float32 tensors), each a read-only
-    view of the bytes read from the file."""
+    view of the bytes read; every length is checked against the bytes left."""
 
-    def take(fh, n, what):
-        b = fh.read(n)
-        if len(b) != n:
+    def take(fh, n, what, text=False):
+        if n > size - fh.tell():
             raise CheckpointError(f"{path}: truncated reading {what}")
-        return b
+        try:
+            return fh.read(n).decode("utf-8") if text else fh.read(n)
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not UTF-8") from None
 
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if take(fh, 4, "magic") != _SPCK_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         version, spec_len = struct.unpack("<BI", take(fh, 5, "header"))
         if version != _SPCK_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        spec_text = take(fh, spec_len, "model spec").decode("utf-8")
+        spec_text = take(fh, spec_len, "model spec", text=True)
         tensors = OrderedDict()
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise CheckpointError(f"{path}: truncated tensor header")
-            (name_len,) = struct.unpack("<H", head)
-            name = take(fh, name_len, "tensor name").decode("utf-8")
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<H", take(fh, 2, "tensor header"))
+            name = take(fh, name_len, "tensor name", text=True)
             (rank,) = struct.unpack("<B", take(fh, 1, "rank"))
+            if rank > 32:  # stored tensors have rank 4 at most; numpy allows 64
+                raise CheckpointError(f"{path}: tensor {name} has rank {rank}")
             dims = struct.unpack(f"<{rank}I", take(fh, 4 * rank, "dims"))
-            count = int(np.prod(dims)) if rank else 1
-            payload = take(fh, 4 * count, f"payload of {name}")
+            payload = take(fh, 4 * math.prod(dims), f"payload of {name}")
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     return spec_text, tensors

@@ -1,4 +1,7 @@
-"""Dataset handling and the training loop.
+"""The clip front end, dataset handling and the training loop.
+
+Every command turns a WAV into features through ``extract_clip``: one
+float32 log-mel, the same from the extractor and from the cache.
 
 Training operates on segments (each inheriting its clip's label), runs a
 fixed number of epochs of Adadelta over shuffled mini-batches, validates
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, models, nn
-from .audio import AudioClip, downmix_mono, load_wav, normalize_amplitude, resample
+from .audio import downmix_mono, load_wav, normalize_amplitude, resample
 from .evaluation import CLASS_INDEX
 
 log = logging.getLogger(__name__)
@@ -161,32 +164,34 @@ def cache_fresh(cpath, wav) -> bool:
         not os.path.exists(wav) or os.path.getmtime(cpath) >= os.path.getmtime(wav))
 
 
-def preprocess(wav_path, variant: features.FeatureVariant) -> AudioClip:
-    """WAV file to the variant's input waveform: decode, downmix, peak-normalize, resample."""
+def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
+    """The one front end, WAV file to float32 log-mel (the values LMSF stores):
+    decode, downmix, peak-normalize, resample, log-mel, round once. Resample and
+    log-mel errors get the path here; ``load_wav``'s name the file already."""
     clip = normalize_amplitude(downmix_mono(load_wav(wav_path)))
     try:
-        return resample(clip, variant.sample_rate)
+        spec = features.log_mel(resample(clip, variant.sample_rate), variant)
     except ValueError as exc:
         raise ValueError(f"{wav_path}: {exc}") from None
-
-
-def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
-    """WAV file to log-mel."""
-    return features.log_mel(preprocess(wav_path, variant), variant)
+    return features.LogMelSpectrogram(spec.data.astype(np.float32), variant)
 
 
 def clip_features(wav_path, variant: features.FeatureVariant,
                   cache_dir=None) -> features.LogMelSpectrogram:
-    """Fetch one clip's spectrogram, via the cache when possible."""
+    """Fetch one clip's spectrogram, via the cache when possible. A cache file
+    that cannot be read, or holds another variant, is a miss and is rewritten."""
     wav = Path(wav_path)
     if cache_dir is None:
         return extract_clip(wav, variant)
     cpath = cache_path(cache_dir, wav, variant)
     if cache_fresh(cpath, wav):
-        spec = features.load_features(cpath)
-        if spec.variant.id != variant.id:
-            raise ValueError(f"{cpath}: cached variant {spec.variant.id}, expected {variant.id}")
-        return spec
+        try:
+            spec = features.load_features(cpath)
+            if spec.variant.id != variant.id:
+                raise ValueError(f"{cpath}: holds variant {spec.variant.id}, not {variant.id}")
+            return spec
+        except ValueError as exc:
+            log.warning("%s; extracting again", exc)
     spec = extract_clip(wav, variant)
     cpath.parent.mkdir(parents=True, exist_ok=True)
     with nn.atomic_path(cpath) as tmp:
