@@ -42,8 +42,13 @@ def cmd_extract(args) -> int:
     variant = features.VARIANTS[args.variant]
     Path(args.cache).mkdir(parents=True, exist_ok=True)
     wavs = [manifest.root / e.path for e in manifest.entries]
-    stale = [(e, wav) for e, wav in zip(manifest.entries, wavs)
-             if not pipeline.cache_fresh(pipeline.cache_path(args.cache, wav, variant), wav)]
+
+    def cached(wav):  # by stat alone: a fresh entry of its variant's size is not read
+        cpath = pipeline.cache_path(args.cache, wav, variant)
+        return (pipeline.cache_fresh(cpath, wav)
+                and os.path.getsize(cpath) == features.lmsf_size(variant))
+
+    stale = [(e, wav) for e, wav in zip(manifest.entries, wavs) if not cached(wav)]
     hits = len(wavs) - len(stale)
     jobs = [(str(wav), variant.id, args.cache) for _, wav in stale]
     if args.workers > 1 and len(jobs) > 1:

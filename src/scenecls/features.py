@@ -15,6 +15,7 @@ counts hold exactly and segment shapes are stable downstream.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -186,6 +187,12 @@ def extract_segments(clip: AudioClip, variant: FeatureVariant, clip_id: str = ""
 
 _LMSF_MAGIC = b"LMSF"
 _LMSF_VERSION = 1
+_LMSF_HEADER_BYTES = 14  # magic, u8 version, u8 variant code, u32 rows, u32 cols
+
+
+def lmsf_size(variant: FeatureVariant) -> int:
+    """Bytes of the cache file that holds one spectrogram of ``variant``."""
+    return _LMSF_HEADER_BYTES + variant.total_frames * variant.n_mels * 4
 
 
 def save_features(path, spec: LogMelSpectrogram) -> None:
@@ -201,10 +208,11 @@ def save_features(path, spec: LogMelSpectrogram) -> None:
 
 def load_features(path) -> LogMelSpectrogram:
     """Read a cache file back as a read-only float32 view of its bytes. A header
-    shape other than its variant's fails before any payload read."""
+    shape other than its variant's, or a file size other than header plus
+    payload, fails before any payload read."""
     with open(path, "rb") as fh:
-        header = fh.read(14)
-        if len(header) != 14 or header[:4] != _LMSF_MAGIC:
+        header = fh.read(_LMSF_HEADER_BYTES)
+        if len(header) != _LMSF_HEADER_BYTES or header[:4] != _LMSF_MAGIC:
             raise ValueError(f"{path}: not a feature cache file")
         version, code, rows, cols = struct.unpack("<BBII", header[4:])
         if version != _LMSF_VERSION:
@@ -215,7 +223,9 @@ def load_features(path) -> LogMelSpectrogram:
         if (rows, cols) != (variant.total_frames, variant.n_mels):
             raise ValueError(f"{path}: {rows}x{cols} matrix, variant {variant.id} "
                              f"has {variant.total_frames}x{variant.n_mels}")
+        size = os.fstat(fh.fileno()).st_size
+        if size != lmsf_size(variant):
+            raise ValueError(f"{path}: {size} bytes, a {variant.id} cache file "
+                             f"has {lmsf_size(variant)}")
         payload = fh.read(rows * cols * 4)
-    if len(payload) != rows * cols * 4:
-        raise ValueError(f"{path}: truncated payload")
     return LogMelSpectrogram(np.frombuffer(payload, dtype="<f4").reshape(rows, cols), variant)

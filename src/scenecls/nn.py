@@ -19,9 +19,18 @@ no patch matrix of the whole batch is ever built. The forward pass writes
 each block's output rows, and how the batch is cut changes none of their
 bits; the kernel gradient sums one product per block; the input gradient is
 the same blocked convolution of the output gradient by the flipped,
-in/out-swapped kernels, and a ModelGraph's first layer skips it. Max pooling
-windows equal their stride and drop trailing remainders. The 1-D layers are
-the width-1 2-D ones.
+in/out-swapped kernels, and a ModelGraph's first layer skips it. A
+one-channel input builds its patches tap-major, a copy of whole padded rows
+per kernel tap, and the GEMMs read them transposed. Max pooling windows equal
+their stride and drop trailing remainders. The 1-D layers are the width-1 2-D
+ones.
+
+Layers over few channels run along long rows, not loops as short as the
+channel count, with the bits of the plain forms: max pooling is a running
+np.maximum over the window offsets in row-major order; per-channel sums are
+einsums, which add rows in sum(axis=0)'s order; and per-channel broadcasts
+(BatchNorm, the convolution bias) run on each sample's H*W*C row against
+the channel vector tiled to its length.
 """
 
 from __future__ import annotations
@@ -155,6 +164,14 @@ class Dense(Layer):
         return f"dense {self.weights.value.shape[0]}"
 
 
+def _channel_sums(a2):
+    """``a2.sum(axis=0)`` of (M, C) rows, bit for bit. Over two or more
+    channels that sum runs row after row in loops C long; einsum adds the
+    rows in the same order, faster. One channel is a contiguous column,
+    which sum adds pairwise, so it keeps that."""
+    return a2.sum(axis=0) if a2.shape[1] == 1 else np.einsum("ij->j", a2)
+
+
 # Patch-matrix bytes per batch block, so that a block's patch rows are still
 # in cache when its GEMM reads them. 2 MiB is one core's L2 on the Xeon it was
 # tuned on (one BLAS thread): float32 training steps ran 0-10% faster than at
@@ -176,7 +193,17 @@ def _patch_blocks(x, kh, kw):
     step = max(1, _BLOCK_BYTES // (h * w * kh * kw * c * x.itemsize))
     for s in range(0, n, step):
         block = x[s : s + step]
-        if ph or pw:
+        if c == 1 and (ph or pw):
+            # One channel: a row-major patch copies runs of only kw values, so
+            # fill the patches tap-major instead, each tap a copy of whole
+            # padded rows, and hand the GEMMs the transpose.
+            block = np.pad(block[..., 0], ((0, 0), (ph, ph), (pw, pw)))
+            taps = np.empty((kh, kw, len(block), h, w), x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    taps[i, j] = block[:, i : i + h, j : j + w]
+            cols = taps.reshape(kh * kw, -1).T
+        elif ph or pw:
             block = np.pad(block, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
             win = np.lib.stride_tricks.sliding_window_view(block, (kh, kw), axis=(1, 2))
             cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c)
@@ -221,7 +248,8 @@ class Conv2D(Layer):
             raise ValueError(f"conv2d expects (N,H,W,{cin}) input, got {x.shape}")
         self._x = x
         out = _conv_same(x, self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout), kh, kw)
-        out += self.bias.value
+        rows = out.reshape(len(out), -1)  # the bias tiled along each sample's row, as in BatchNorm
+        rows += np.tile(self.bias.value, rows.shape[1] // cout)
         return out
 
     def backward(self, gout):
@@ -233,7 +261,7 @@ class Conv2D(Layer):
         for rows, cols in _patch_blocks(x, kh, kw):
             gk += gflat[rows].T @ cols
         self.kernels.grad = gk.reshape(self.kernels.value.shape)
-        self.bias.grad = gflat.sum(axis=0)
+        self.bias.grad = _channel_sums(gflat)
         if not self._input_grad:
             return None
         # The adjoint of a same-padded odd-kernel convolution is the same
@@ -299,36 +327,45 @@ class BatchNorm(Layer):
     def forward(self, x, train=False):
         if x.shape[0] == 0:
             raise ValueError("batchnorm on an empty batch")
-        x2 = x.reshape(-1, x.shape[-1])
+        c = x.shape[-1]
+        x2 = x.reshape(-1, c)
+        rows = x.reshape(len(x), -1)
+        reps = rows.shape[1] // c  # channel vectors tiled this often fill a row
         if train:
-            mean = x2.mean(axis=0)
-            x_hat = x2 - mean
-            var = np.einsum("ij,ij->j", x_hat, x_hat) / len(x2)
+            mean = _channel_sums(x2) / len(x2)
+            x_hat = rows - np.tile(mean, reps)
+            h2 = x_hat.reshape(-1, c)
+            var = np.einsum("ij,ij->j", h2, h2) / len(x2)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mean, var = self.running_mean, self.running_var
-            x_hat = x2 - mean
+            x_hat = rows - np.tile(mean, reps)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat *= inv_std
-        out = x_hat * self.gain.value
-        out += self.shift.value
+        x_hat *= np.tile(inv_std, reps)
+        out = x_hat * np.tile(self.gain.value, reps)
+        out += np.tile(self.shift.value, reps)
         self._cache = (x_hat, inv_std, train)
         return out.reshape(x.shape)
 
     def backward(self, gout):
         x_hat, inv_std, train = self._need_cache(self._cache)
-        g2 = gout.reshape(x_hat.shape)
-        self.gain.grad = np.einsum("ij,ij->j", g2, x_hat)
-        self.shift.grad = g2.sum(axis=0)
+        c = len(inv_std)
+        reps = x_hat.shape[1] // c
+        h2 = x_hat.reshape(-1, c)
+        g2 = gout.reshape(h2.shape)
+        self.gain.grad = np.einsum("ij,ij->j", g2, h2)
+        self.shift.grad = _channel_sums(g2)
+        rows = gout.reshape(x_hat.shape)
         if not train:
-            return gout * self.gain.value * inv_std
+            gx = rows * np.tile(self.gain.value, reps) * np.tile(inv_std, reps)
+            return gx.reshape(gout.shape)
         # gain * inv_std * (gout - shift.grad / m - x_hat * gain.grad / m), in one buffer
-        m = len(x_hat)
-        gx = x_hat * (self.gain.grad / m)
-        np.subtract(g2, gx, out=gx)
-        gx -= self.shift.grad / m
-        gx *= self.gain.value * inv_std
+        m = len(h2)
+        gx = x_hat * np.tile(self.gain.grad / m, reps)
+        np.subtract(rows, gx, out=gx)
+        gx -= np.tile(self.shift.grad / m, reps)
+        gx *= np.tile(self.gain.value * inv_std, reps)
         return gx.reshape(gout.shape)
 
     def named_params(self):
@@ -359,7 +396,14 @@ class MaxPool2D(Layer):
         if h2 == 0 or w2 == 0:
             raise ValueError(f"pool window {self.ph}x{self.pw} larger than input {h}x{w}")
         win = self._windows(x, h2, w2)
-        out = win.max(axis=(2, 4))
+        # a running maximum, one np.maximum over the whole output per window
+        # offset in row-major order; max(axis=(2, 4)) reduces in loops only
+        # ph * pw long
+        out = win[:, :, 0, :, 0, :].copy()
+        for i in range(self.ph):
+            for j in range(self.pw):
+                if i or j:
+                    np.maximum(out, win[:, :, i, :, j, :], out=out)
         # one byte per position: does it hold its window's maximum?
         self._cache = (win == out[:, :, None, :, None, :], x.shape)
         return out
