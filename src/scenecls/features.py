@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioClip
+from .audio import AudioClip, downmix_mono, normalize_amplitude, resample
 
 LOG_FLOOR = 1e-10
 N_MELS = 64
@@ -178,11 +178,17 @@ def segment(spec: LogMelSpectrogram, clip_id: str = "") -> SegmentSet:
     return SegmentSet(segs, v, clip_id)
 
 
-def extract_segments(clip: AudioClip, variant: FeatureVariant, clip_id: str = "") -> SegmentSet:
-    """Full front end for one mono normalized clip: resample, log-mel, split."""
-    from .audio import resample
+def clip_log_mel(clip: AudioClip, variant: FeatureVariant) -> LogMelSpectrogram:
+    """The front end for a decoded clip: downmix, peak-normalize, resample,
+    log-mel, rounded once to float32 (the values LMSF stores)."""
+    clip = normalize_amplitude(downmix_mono(clip))
+    spec = log_mel(resample(clip, variant.sample_rate), variant)
+    return LogMelSpectrogram(spec.data.astype(np.float32), variant)
 
-    return segment(log_mel(resample(clip, variant.sample_rate), variant), clip_id)
+
+def extract_segments(clip: AudioClip, variant: FeatureVariant, clip_id: str = "") -> SegmentSet:
+    """Full front end for one decoded clip: `clip_log_mel`, then split."""
+    return segment(clip_log_mel(clip, variant), clip_id)
 
 
 _LMSF_MAGIC = b"LMSF"

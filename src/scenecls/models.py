@@ -1,10 +1,11 @@
 """Model zoo: three small CNN families over log-mel segments, 15 scene classes.
 
-A model is its canonical spec text: a header naming the model, its feature
-variant and its per-segment input shape, then one line per layer
-(``conv2d 16 7 7``, ``fire 16 64``, ``dense 512``, ...). `parse_model_spec`
-is the only constructor; it works out every layer's input channels and
-fan-in from the lines before it. Checkpoints embed the same text.
+A model is its spec text: a header naming the model, its feature variant
+and its per-segment input shape, then one line per layer (``conv2d 16 7 7``,
+``fire 16 64``, ``dense 512``, ...). `parse_model_spec` is the only
+constructor; it works out every layer's input channels and fan-in from the
+lines before it, and keeps the text on the graph. Checkpoints embed that
+text as it was parsed, so this module alone writes and reads the grammar.
 
 The builders below only write spec lines. Registry names bind a builder
 call to the feature variant it consumes:
@@ -131,19 +132,23 @@ def param_count(graph: nn.ModelGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical textual model spec: one line per layer plus a small header. The
-# string round-trips through parse_model_spec and is embedded in checkpoints
-# so a saved model carries its exact architecture and variant.
+# Textual model spec: a small header plus one line per layer. parse_model_spec
+# keeps the text it read on the graph, one stripped line per non-blank input
+# line, and checkpoints embed exactly that text, so a saved model carries the
+# architecture and variant it was built from.
 # ---------------------------------------------------------------------------
 
 
 def format_model_spec(graph: nn.ModelGraph) -> str:
-    return _spec_text(graph.name, graph.variant.id, graph.input_shape,
-                      [layer.spec_line() for layer in graph.layers])
+    """The spec text ``graph`` was parsed from, as its stripped, non-blank lines."""
+    if graph.spec_text is None:
+        raise ValueError(f"model {graph.name!r} was not built from a model spec, "
+                         "so it has no spec text")
+    return graph.spec_text
 
 
 def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
-    """Rebuild a graph (fresh parameters) from its canonical spec string."""
+    """Build a graph (fresh parameters) from spec text, and keep the text on it."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 4 or not lines[0].startswith("name ") \
             or not lines[1].startswith("variant ") or not lines[2].startswith("input "):
@@ -200,7 +205,9 @@ def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
             shape = (shape[0], shape[1], 2 * ex)
         else:
             raise nn.CheckpointError(f"unknown layer kind {kind!r} in model spec")
-    return nn.ModelGraph(name, layers, input_shape, variant)
+    graph = nn.ModelGraph(name, layers, input_shape, variant)
+    graph.spec_text = "\n".join(lines) + "\n"
+    return graph
 
 
 def save_model(graph: nn.ModelGraph, path) -> None:

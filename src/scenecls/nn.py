@@ -92,9 +92,6 @@ class Layer:
         as (attribute name, array) pairs."""
         return []
 
-    def spec_line(self) -> str:
-        return self.kind
-
     def _need_cache(self, cache):
         if cache is None:
             raise RuntimeError(f"{self.kind}: backward called before forward")
@@ -159,9 +156,6 @@ class Dense(Layer):
 
     def named_params(self):
         return [("weights", self.weights), ("bias", self.bias)]
-
-    def spec_line(self):
-        return f"dense {self.weights.value.shape[0]}"
 
 
 def _channel_sums(a2):
@@ -272,10 +266,6 @@ class Conv2D(Layer):
     def named_params(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
 
-    def spec_line(self):
-        cout, kh, kw, _ = self.kernels.value.shape
-        return f"conv2d {cout} {kh} {kw}"
-
 
 class Conv1D(Conv2D):
     """Stride-1 same-padded 1-D convolution over time; kernels (out, k, in).
@@ -300,28 +290,24 @@ class Conv1D(Conv2D):
         gx = super().backward(gout[:, :, None, :])
         return None if gx is None else gx[:, :, 0, :]
 
-    def spec_line(self):
-        cout, k, _ = self.kernels.value.shape
-        return f"conv1d {cout} {k}"
-
 
 class BatchNorm(Layer):
     """Per-channel (last axis) normalization over batch and spatial axes.
 
     Training uses biased batch statistics and folds them into running stats
-    with momentum 0.99; inference uses the running stats. Epsilon 1e-5 sits
-    inside the square root.
+    with ``momentum``; inference uses the running stats. ``eps`` sits inside
+    the square root.
     """
 
     kind = "batchnorm"
+    momentum = 0.99
+    eps = 1e-5
 
-    def __init__(self, channels: int, momentum: float = 0.99, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gain = Parameter(np.ones(channels))
         self.shift = Parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def forward(self, x, train=False):
@@ -421,9 +407,6 @@ class MaxPool2D(Layer):
                 free &= ~first
         return gx
 
-    def spec_line(self):
-        return f"maxpool2d {self.ph} {self.pw}"
-
 
 class MaxPool1D(MaxPool2D):
     """Max pooling over time: the width-1 case of MaxPool2D on (N, T, 1, C)."""
@@ -432,16 +415,12 @@ class MaxPool1D(MaxPool2D):
 
     def __init__(self, p: int):
         super().__init__(p, 1)
-        self.p = p
 
     def forward(self, x, train=False):
         return super().forward(x[:, :, None, :], train)[:, :, 0, :]
 
     def backward(self, gout):
         return super().backward(gout[:, :, None, :])[:, :, 0, :]
-
-    def spec_line(self):
-        return f"maxpool1d {self.p}"
 
 
 class GlobalAvgPool(Layer):
@@ -484,9 +463,6 @@ class Dropout(Layer):
         if self._mask is None:
             return gout
         return gout * self._mask / (1.0 - self.rate)
-
-    def spec_line(self):
-        return f"dropout {float(self.rate)!r}"  # repr: the rate reloads exactly
 
 
 class Softmax(Layer):
@@ -546,12 +522,13 @@ class Fire(Layer):
             out += [(f"{sub}.{n}", p) for n, p in conv.named_params()]
         return out
 
-    def spec_line(self):
-        return f"fire {self.squeeze_ch} {self.expand_ch}"
-
 
 class ModelGraph:
     """An ordered layer stack bound to a feature variant and input shape."""
+
+    # the model spec text models.parse_model_spec built the graph from; a
+    # graph assembled from layers directly has none
+    spec_text = None
 
     def __init__(self, name: str, layers: list, input_shape: tuple, variant):
         self.name = name

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, models, nn
-from .audio import downmix_mono, load_wav, normalize_amplitude, resample
+from .audio import load_wav
 from .evaluation import CLASS_INDEX
 
 log = logging.getLogger(__name__)
@@ -166,14 +166,13 @@ def cache_fresh(cpath, wav) -> bool:
 
 def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
     """The one front end, WAV file to float32 log-mel (the values LMSF stores):
-    decode, downmix, peak-normalize, resample, log-mel, round once. Resample and
-    log-mel errors get the path here; ``load_wav``'s name the file already."""
-    clip = normalize_amplitude(downmix_mono(load_wav(wav_path)))
+    decode, then `features.clip_log_mel`. Its errors get the path here;
+    ``load_wav``'s name the file already."""
+    clip = load_wav(wav_path)
     try:
-        spec = features.log_mel(resample(clip, variant.sample_rate), variant)
+        return features.clip_log_mel(clip, variant)
     except ValueError as exc:
         raise ValueError(f"{wav_path}: {exc}") from None
-    return features.LogMelSpectrogram(spec.data.astype(np.float32), variant)
 
 
 def clip_features(wav_path, variant: features.FeatureVariant,
