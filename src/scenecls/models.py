@@ -2,10 +2,14 @@
 
 A model is its spec text: a header naming the model, its feature variant
 and its per-segment input shape, then one line per layer (``conv2d 16 7 7``,
-``fire 16 64``, ``dense 512``, ...). `parse_model_spec` is the only
-constructor; it works out every layer's input channels and fan-in from the
-lines before it, and keeps the text on the graph. Checkpoints embed that
-text as it was parsed, so this module alone writes and reads the grammar.
+``fire 16 64``, ``dense 512``, ...). One loop builds layers from that text:
+its shape pass gives each layer its input channels and fan-in from the
+lines before it and allocates the layer's parameters, and the graph keeps
+the text. `parse_model_spec` then runs the init pass, Glorot draws from one
+seeded stream in layer order, for a float64 graph; `load_model` allocates
+in float32 instead and fills every tensor from the checkpoint, drawing
+nothing. Checkpoints embed the text as it was parsed, so this module alone
+writes and reads the grammar.
 
 The builders below only write spec lines. Registry names bind a builder
 call to the feature variant it consumes:
@@ -147,8 +151,10 @@ def format_model_spec(graph: nn.ModelGraph) -> str:
     return graph.spec_text
 
 
-def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
-    """Build a graph (fresh parameters) from spec text, and keep the text on it."""
+def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
+    """The shape pass: one layer per spec line, each given its input channels
+    and fan-in by the lines before it, with its parameters allocated once in
+    ``dtype`` and nothing drawn (weights zero). The graph keeps the text."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 4 or not lines[0].startswith("name ") \
             or not lines[1].startswith("variant ") or not lines[2].startswith("input "):
@@ -160,21 +166,20 @@ def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
     variant = VARIANTS[variant_id]
     input_shape = tuple(int(t) for t in lines[2].split()[1:])
 
-    rng = np.random.default_rng(seed)
     shape = input_shape
     layers = []
     for ln in lines[3:]:
         kind, *args = ln.split()
         if kind == "conv2d":
             cout, kh, kw = map(int, args)
-            layers.append(nn.Conv2D(shape[2], cout, kh, kw, rng))
+            layers.append(nn.Conv2D(shape[2], cout, kh, kw, dtype=dtype))
             shape = (shape[0], shape[1], cout)
         elif kind == "conv1d":
             cout, k = map(int, args)
-            layers.append(nn.Conv1D(shape[1], cout, k, rng))
+            layers.append(nn.Conv1D(shape[1], cout, k, dtype=dtype))
             shape = (shape[0], cout)
         elif kind == "batchnorm":
-            layers.append(nn.BatchNorm(shape[-1]))
+            layers.append(nn.BatchNorm(shape[-1], dtype=dtype))
         elif kind == "relu":
             layers.append(nn.ReLU())
         elif kind == "maxpool2d":
@@ -195,18 +200,28 @@ def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
             shape = (int(np.prod(shape)),)
         elif kind == "dense":
             units = int(args[0])
-            layers.append(nn.Dense(shape[0], units, rng))
+            layers.append(nn.Dense(shape[0], units, dtype=dtype))
             shape = (units,)
         elif kind == "softmax":
             layers.append(nn.Softmax())
         elif kind == "fire":
             sq, ex = map(int, args)
-            layers.append(nn.Fire(shape[2], sq, ex, rng))
+            layers.append(nn.Fire(shape[2], sq, ex, dtype=dtype))
             shape = (shape[0], shape[1], 2 * ex)
         else:
             raise nn.CheckpointError(f"unknown layer kind {kind!r} in model spec")
     graph = nn.ModelGraph(name, layers, input_shape, variant)
     graph.spec_text = "\n".join(lines) + "\n"
+    return graph
+
+
+def parse_model_spec(text: str, seed: int = 0) -> nn.ModelGraph:
+    """Build a float64 graph from spec text with fresh Glorot weights drawn
+    from ``seed``, and keep the text on it."""
+    graph = _build_from_spec(text, np.float64)
+    rng = np.random.default_rng(seed)
+    for layer in graph.layers:  # the init pass: one stream, in layer order
+        layer.init_params(rng)
     return graph
 
 
@@ -216,9 +231,11 @@ def save_model(graph: nn.ModelGraph, path) -> None:
 
 def load_model(path) -> nn.ModelGraph:
     """Rebuild a float32 graph from a checkpoint, restoring parameters, running
-    statistics and optimizer accumulators (exactly: checkpoints store float32)."""
+    statistics and optimizer accumulators (exactly: checkpoints store float32).
+
+    The shape pass allocates every tensor in float32, and `load_state` fills
+    it from the checkpoint's: nothing is drawn, widened or cast."""
     spec_text, tensors = nn.read_checkpoint(path)
-    graph = parse_model_spec(spec_text)
-    graph.cast(np.float32)
+    graph = _build_from_spec(spec_text, np.float32)
     graph.load_state(tensors)
     return graph

@@ -1,12 +1,16 @@
 """Minimal deterministic neural-network engine on numpy arrays.
 
-Tensors are C-contiguous ndarrays in their ModelGraph's ``dtype``. A graph
-is float64 as built (by `models.build_model`, `models.parse_model_spec` or
-directly), and the finite-difference and oracle tests run on that.
-`pipeline.train` and `models.load_model` cast theirs to float32, the one
-precision that training, inference and checkpoints use. Every layer keeps
-its input's dtype, except that Softmax returns its 15-wide output in
-float64, so fused rows sum to 1 within 1e-8.
+Tensors are C-contiguous ndarrays in their ModelGraph's ``dtype``, the one
+its layers were built in. A layer with parameters allocates them once, as
+zeros in its ``dtype`` (float64 unless told otherwise); `init_params`, or an
+``rng`` given to the constructor, then draws its Glorot weights in float64.
+Graphs built by `models.build_model`, `models.parse_model_spec` or directly
+are float64, and the finite-difference and oracle tests run on that.
+Float32 is the one precision that training, inference and checkpoints use:
+`pipeline.train` casts its graph, and `models.load_model` builds one in
+float32 and fills it from the checkpoint. Every layer keeps its input's
+dtype, except that Softmax returns its 15-wide output in float64, so fused
+rows sum to 1 within 1e-8.
 
 Spatial layout is channels-last: 2-D feature maps are (batch, height,
 width, channels), 1-D sequences are (batch, time, channels). Every layer
@@ -54,17 +58,27 @@ class CheckpointError(ValueError):
 
 
 class Parameter:
-    """A trainable tensor with its gradient and Adadelta accumulators."""
+    """A trainable tensor with its gradient and Adadelta accumulators, all in
+    the value's dtype: a floating-point value keeps its own, anything else
+    becomes float64."""
 
     __slots__ = ("name", "value", "grad", "eg2", "edx2")
 
     def __init__(self, value: np.ndarray, name: str = ""):
         self.name = name
-        self.value = np.ascontiguousarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        dtype = value.dtype if value.dtype.kind == "f" else np.float64
+        self.value = np.ascontiguousarray(value, dtype)
         # np.zeros, not zeros_like: calloc'd pages cost nothing until written
-        self.grad = np.zeros(self.value.shape)
-        self.eg2 = np.zeros(self.value.shape)   # running E[g^2]
-        self.edx2 = np.zeros(self.value.shape)  # running E[dx^2]
+        self.grad = np.zeros(self.value.shape, self.value.dtype)
+        self.eg2 = np.zeros(self.value.shape, self.value.dtype)   # running E[g^2]
+        self.edx2 = np.zeros(self.value.shape, self.value.dtype)  # running E[dx^2]
+
+    def glorot(self, rng: np.random.Generator, fan_in: int, fan_out: int) -> None:
+        """Replace the value by Glorot-uniform draws from ``rng``, drawn in
+        float64 and kept in the value's dtype."""
+        self.value = glorot_uniform(rng, self.value.shape, fan_in, fan_out).astype(
+            self.value.dtype, copy=False)
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -86,6 +100,10 @@ class Layer:
 
     def named_params(self):
         return []
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        """Draw the layer's Glorot weights from ``rng`` (they are zero until
+        then); a layer without weights draws nothing."""
 
     def extra_state(self):
         """Non-trainable tensors that belong in checkpoints (running stats),
@@ -135,10 +153,17 @@ class Dense(Layer):
 
     kind = "dense"
 
-    def __init__(self, in_features: int, units: int, rng: np.random.Generator):
-        self.weights = Parameter(glorot_uniform(rng, (units, in_features), in_features, units))
-        self.bias = Parameter(np.zeros(units))
+    def __init__(self, in_features: int, units: int, rng: np.random.Generator | None = None,
+                 *, dtype=np.float64):
+        self.weights = Parameter(np.zeros((units, in_features), dtype))
+        self.bias = Parameter(np.zeros(units, dtype))
         self._x = None
+        if rng is not None:
+            self.init_params(rng)
+
+    def init_params(self, rng):
+        units, in_features = self.weights.value.shape
+        self.weights.glorot(rng, in_features, units)
 
     def forward(self, x, train=False):
         if x.shape[1] != self.weights.value.shape[1]:
@@ -222,16 +247,23 @@ class Conv2D(Layer):
     kind = "conv2d"
 
     def __init__(self, in_channels: int, out_channels: int, kh: int, kw: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None = None, *, dtype=np.float64):
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("kernel dims must be odd for same padding")
-        fan_in = kh * kw * in_channels
-        fan_out = kh * kw * out_channels
-        self.kernels = Parameter(
-            glorot_uniform(rng, (out_channels, kh, kw, in_channels), fan_in, fan_out)
-        )
-        self.bias = Parameter(np.zeros(out_channels))
+        self.kernels = Parameter(np.zeros(self._kernel_shape(out_channels, kh, kw, in_channels),
+                                          dtype))
+        self.bias = Parameter(np.zeros(out_channels, dtype))
         self._x = None
+        if rng is not None:
+            self.init_params(rng)
+
+    def init_params(self, rng):
+        cout, *taps, cin = self.kernels.value.shape
+        self.kernels.glorot(rng, math.prod(taps) * cin, math.prod(taps) * cout)
+
+    @staticmethod
+    def _kernel_shape(cout, kh, kw, cin):
+        return (cout, kh, kw, cin)
 
     def _kernels4(self):  # (out, kh, kw, in); Conv1D views its (out, k, in) this way
         return self.kernels.value
@@ -273,9 +305,15 @@ class Conv1D(Conv2D):
 
     kind = "conv1d"
 
-    def __init__(self, in_channels: int, out_channels: int, k: int, rng: np.random.Generator):
-        super().__init__(in_channels, out_channels, k, 1, rng)
-        self.kernels = Parameter(self.kernels.value[:, :, 0, :])
+    def __init__(self, in_channels: int, out_channels: int, k: int,
+                 rng: np.random.Generator | None = None, *, dtype=np.float64):
+        super().__init__(in_channels, out_channels, k, 1, rng, dtype=dtype)
+
+    @staticmethod
+    def _kernel_shape(cout, kh, kw, cin):
+        # Conv2D's (out, k, 1, in) without its width axis: the same values in
+        # the same order, so the Glorot draws match the 4-D kernel's
+        return (cout, kh, cin)
 
     def _kernels4(self):
         return self.kernels.value[:, :, None, :]
@@ -303,11 +341,11 @@ class BatchNorm(Layer):
     momentum = 0.99
     eps = 1e-5
 
-    def __init__(self, channels: int):
-        self.gain = Parameter(np.ones(channels))
-        self.shift = Parameter(np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+    def __init__(self, channels: int, *, dtype=np.float64):
+        self.gain = Parameter(np.ones(channels, dtype))
+        self.shift = Parameter(np.zeros(channels, dtype))
+        self.running_mean = np.zeros(channels, dtype)
+        self.running_var = np.ones(channels, dtype)
         self._cache = None
 
     def forward(self, x, train=False):
@@ -449,13 +487,15 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng  # None: np.random.default_rng(0), made by the first training forward
         self._mask = None
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
+        if self.rng is None:
+            self.rng = np.random.default_rng(0)
         self._mask = self.rng.random(x.shape) >= self.rate
         return x * self._mask / (1.0 - self.rate)
 
@@ -493,14 +533,21 @@ class Fire(Layer):
 
     kind = "fire"
 
-    def __init__(self, in_channels: int, squeeze: int, expand: int, rng: np.random.Generator):
+    def __init__(self, in_channels: int, squeeze: int, expand: int,
+                 rng: np.random.Generator | None = None, *, dtype=np.float64):
         if not squeeze < 2 * expand:
             raise ValueError("squeeze channels must be fewer than total expand channels")
         self.squeeze_ch, self.expand_ch = squeeze, expand
-        self.squeeze = Conv2D(in_channels, squeeze, 1, 1, rng)
-        self.expand1 = Conv2D(squeeze, expand, 1, 1, rng)
-        self.expand3 = Conv2D(squeeze, expand, 3, 3, rng)
+        self.squeeze = Conv2D(in_channels, squeeze, 1, 1, dtype=dtype)
+        self.expand1 = Conv2D(squeeze, expand, 1, 1, dtype=dtype)
+        self.expand3 = Conv2D(squeeze, expand, 3, 3, dtype=dtype)
         self._relu_sq, self._relu_e1, self._relu_e3 = ReLU(), ReLU(), ReLU()
+        if rng is not None:
+            self.init_params(rng)
+
+    def init_params(self, rng):
+        for conv in (self.squeeze, self.expand1, self.expand3):
+            conv.init_params(rng)
 
     def forward(self, x, train=False):
         s = self._relu_sq.forward(self.squeeze.forward(x, train), train)
@@ -535,7 +582,9 @@ class ModelGraph:
         self.layers = layers
         self.input_shape = tuple(input_shape)
         self.variant = variant
-        self.dtype = np.dtype(np.float64)
+        params = self.parameters()
+        # the dtype the layers were built in (float64 for a graph without parameters)
+        self.dtype = params[0].value.dtype if params else np.dtype(np.float64)
         for i, layer in enumerate(layers):
             layer._input_grad = i > 0
             for local, p in layer.named_params():
@@ -742,6 +791,8 @@ def read_checkpoint(path) -> tuple:
         while fh.tell() < size:
             (name_len,) = struct.unpack("<H", take(fh, 2, "tensor header"))
             name = take(fh, name_len, "tensor name", text=True)
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor {name}")
             (rank,) = struct.unpack("<B", take(fh, 1, "rank"))
             if rank > 32:  # stored tensors have rank 4 at most; numpy allows 64
                 raise CheckpointError(f"{path}: tensor {name} has rank {rank}")

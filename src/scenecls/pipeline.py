@@ -283,12 +283,18 @@ def train(graph: nn.ModelGraph, train_set: SegmentDataset, val_set: SegmentDatas
         loss_sum = 0.0
         correct = 0
         for b, idx in enumerate(next(batches)):
-            loss, probs = nn.loss_and_gradients(graph, xs[idx], ys[idx])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
+            # the running statistics before this batch: a train-mode forward
+            # rebinds them, so these references keep the old values
+            stats = [(layer, layer.extra_state()) for layer in graph.layers]
             try:
+                loss, probs = nn.loss_and_gradients(graph, xs[idx], ys[idx])
+                if not np.isfinite(loss):
+                    raise nn.OptimizerError("non-finite loss")
                 opt.step()  # all or nothing: no parameter changes if it raises
             except nn.OptimizerError as exc:
+                for layer, state in stats:  # so a failed step leaves no trace
+                    for attr, arr in state:
+                        setattr(layer, attr, arr)
                 raise TrainingDiverged(f"{exc} at epoch {epoch}, batch {b}") from exc
             loss_sum += loss * len(idx)
             correct += int((np.argmax(probs, axis=1) == ys[idx]).sum())
