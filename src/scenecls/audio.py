@@ -3,6 +3,8 @@
 Clips are decoded from RIFF/WAVE files (integer PCM, 16 or 24 bit, mono or
 stereo) and prepared for feature extraction: downmix to mono by channel
 averaging, peak amplitude normalization, and band-limited resampling.
+Everything here is numpy: decoding views the file's bytes in place, and the
+resampler's polyphase sum runs as blocked matrix products (BLAS GEMMs).
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 # target rate. Fixed here so resampled output is reproducible bit-for-bit.
 KAISER_BETA = 8.6
 SINC_ZERO_CROSSINGS = 64
+
+# Resampler evaluation: every GEMM has about this many output columns at
+# least, and copies input windows in blocks of at most this many bytes.
+_MIN_PHASES = 64
+_BLOCK_BYTES = 2 << 20
 
 
 class WavDecodeError(ValueError):
@@ -67,8 +74,11 @@ def load_wav(path) -> AudioClip:
     """Decode an integer-PCM WAV file into an AudioClip scaled to [-1, 1).
 
     Supports 16/24-bit little-endian PCM, 1 or 2 channels, including the
-    WAVE_FORMAT_EXTENSIBLE wrapper around PCM. Sample values are divided by
-    2^(bits-1).
+    WAVE_FORMAT_EXTENSIBLE wrapper around PCM. Sample values are multiplied
+    by 2^-(bits-1), which is exact. A 24-bit payload is read in place as one
+    int32 view at a 3-byte stride: each int32 holds a sample's three bytes
+    above the byte before them, and an arithmetic shift right by 8 drops
+    that byte and sign-extends the sample.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -76,23 +86,22 @@ def load_wav(path) -> AudioClip:
         raise WavDecodeError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
-    payload = None
+    start = None  # the data chunk's payload is data[start : start + size]
     pos = 12
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
-            fmt = body
+            fmt = data[pos + 8 : pos + 8 + size]
         elif cid == b"data":
             if pos + 8 + size > len(data):
                 raise WavDecodeError(f"{path}: data chunk truncated")
-            payload = body
+            start, payload_bytes = pos + 8, size
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or len(fmt) < 16:
         raise WavDecodeError(f"{path}: missing or short fmt chunk")
-    if payload is None:
+    if start is None:
         raise WavDecodeError(f"{path}: missing data chunk")
 
     audio_format, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
@@ -110,16 +119,16 @@ def load_wav(path) -> AudioClip:
     if rate == 0:
         raise WavDecodeError(f"{path}: sample rate 0")
 
-    frames = len(payload) // block_align
-    payload = payload[: frames * block_align]
+    frames = payload_bytes // block_align  # a trailing partial frame is dropped
     if bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+        raw = np.ndarray((frames, channels), "<i2", data, start, (block_align, 2))
     else:
-        b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        raw = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        raw = np.where(raw >= 1 << 23, raw - (1 << 24), raw).astype(np.float64)
-    scaled = raw / float(1 << (bits - 1))
-    return AudioClip(scaled.reshape(frames, channels).T.copy(), rate)
+        # The byte before the payload (the chunk size's top byte) is in the
+        # file, so the first sample's int32 needs no padding.
+        raw = np.ndarray((frames, channels), "<i4", data, start - 1, (block_align, 3)) >> 8
+    samples = np.empty((channels, frames))
+    np.multiply(raw.T, 2.0 ** (1 - bits), out=samples)
+    return AudioClip(samples, rate)
 
 
 def downmix_mono(clip: AudioClip) -> AudioClip:
@@ -149,12 +158,55 @@ def _design_lowpass(up: int, down: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=8)
+def _polyphase_layout(up: int, down: int):
+    """The filter laid out for `resample`'s GEMMs, as (phases, stride, first,
+    width, groups).
+
+    Output m = phases*r + p, for row r and phase p, is the dot product of
+    the input window x[stride*r + first : stride*r + first + width] with
+    column p of the layout. Each group (p0, p1, offset, taps) holds the
+    columns of phases p0..p1-1 over the window's rows offset..offset +
+    len(taps) - 1 that they reach; the rest of the column is zero.
+
+    A row holds `reps` periods of `up` outputs: enough for about
+    _MIN_PHASES columns per GEMM when `up` is small, but no more than keep
+    `reps` copies of the filter (the taps one period's phases read) within
+    _BLOCK_BYTES. A group spans at most 2*SINC_ZERO_CROSSINGS phases: each
+    phase reads about 2*SINC_ZERO_CROSSINGS*down/up taps and the next one's
+    window starts down/up later, so a group has at most about twice the rows
+    one phase reads, and the layout about twice the filter's taps per period.
+    """
+    h = _design_lowpass(up, down)
+    half = SINC_ZERO_CROSSINGS * down
+    reps = max(1, min(-(-_MIN_PHASES // up), _BLOCK_BYTES // h.nbytes))
+    phases, stride = up * reps, down * reps
+    first = -(half // up)  # ceil(-half / up): the lowest input offset any phase reads
+    n_groups = -(-phases // (2 * SINC_ZERO_CROSSINGS))
+    bounds = [phases * g // n_groups for g in range(n_groups + 1)]
+    groups = []
+    for p0, p1 in zip(bounds[:-1], bounds[1:]):
+        # input offsets k with |p*down - up*k| <= half for some p in [p0, p1)
+        k0, k1 = -((half - p0 * down) // up), ((p1 - 1) * down + half) // up
+        idx = np.arange(p0, p1) * down - up * np.arange(k0, k1 + 1)[:, None] + half
+        inside = (idx >= 0) & (idx < len(h))
+        taps = np.where(inside, h[np.where(inside, idx, 0)], 0.0)
+        taps.flags.writeable = False
+        groups.append((p0, p1, k0 - first, taps))
+    width = ((phases - 1) * down + half) // up - first + 1
+    return phases, stride, first, width, tuple(groups)
+
+
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Polyphase windowed-sinc resampling of a mono clip down to target_rate.
 
-    Output length is round(length * target_rate / sample_rate). The filter
+    Output m is sum_n x[n] * h[m*down - up*n] for the centred filter h of
+    `_design_lowpass` (up/down the rate ratio in lowest terms), and the
+    output length is round(length * target_rate / sample_rate). The filter
     delay is an exact multiple of the output period, so no fractional
-    alignment is needed.
+    alignment is needed. The sum runs as GEMMs: blocks of at most
+    _BLOCK_BYTES of input windows, copied at the output stride, times the
+    layout of `_polyphase_layout`.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -165,16 +217,25 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if target_rate == clip.sample_rate:
         return clip
 
-    # Imported here, its only use: importing scipy.signal takes about a second
-    # and tens of MB of RSS, which every command that never resamples would pay.
-    from scipy.signal import upfirdn
-
     g = gcd(clip.sample_rate, target_rate)
-    up, down = target_rate // g, clip.sample_rate // g
-    y = upfirdn(_design_lowpass(up, down), x, up=up, down=down)
-
+    phases, stride, first, width, groups = _polyphase_layout(
+        target_rate // g, clip.sample_rate // g)
     n_out = int(round(clip.length * target_rate / clip.sample_rate))
-    y = y[SINC_ZERO_CROSSINGS : SINC_ZERO_CROSSINGS + n_out]
-    if len(y) < n_out:
-        y = np.pad(y, (0, n_out - len(y)))
-    return AudioClip(y[None, :], target_rate)
+    if n_out == 0:
+        return AudioClip(np.zeros((1, 0)), target_rate)
+    rows = -(-n_out // phases)
+    # zero-padded input: xp[i] = x[first + i], so row r's window starts at xp[stride*r]
+    xp = np.zeros((rows - 1) * stride + width)
+    n_in = min(len(x), len(xp) + first)
+    xp[-first : -first + n_in] = x[:n_in]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, width)[::stride]
+
+    y = np.empty((rows, phases))
+    step = max(1, _BLOCK_BYTES // (width * xp.itemsize))
+    block = np.empty((min(step, rows), width))
+    for r0 in range(0, rows, step):
+        a = block[: min(step, rows - r0)]
+        np.copyto(a, windows[r0 : r0 + step])  # contiguous rows, so matmul uses BLAS
+        for p0, p1, offset, taps in groups:
+            np.matmul(a[:, offset : offset + len(taps)], taps, out=y[r0 : r0 + len(a), p0:p1])
+    return AudioClip(y.reshape(1, -1)[:, :n_out], target_rate)

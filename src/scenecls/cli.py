@@ -12,6 +12,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -51,14 +52,18 @@ def cmd_extract(args) -> int:
     stale = [(e, wav) for e, wav in zip(manifest.entries, wavs) if not cached(wav)]
     hits = len(wavs) - len(stale)
     jobs = [(str(wav), variant.id, args.cache) for _, wav in stale]
+    start = time.perf_counter()
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_extract_one, jobs))
     else:
         results = [_extract_one(j) for j in jobs]
+    seconds = time.perf_counter() - start
     failures = [(e.path, err) for (e, _), err in zip(stale, results) if err is not None]
     done = len(wavs) - len(failures)
     print(f"extracted features for {done} clips ({hits} already cached) -> {args.cache}")
+    rate = len(jobs) / seconds if seconds > 0 else 0.0
+    print(f"{len(jobs)} clips in {seconds:.2f} s ({rate:.1f} clips/s), {len(failures)} failed")
     for clip_path, err in failures:
         print(f"FAILED {clip_path}: {err}", file=sys.stderr)
     return 1 if failures else 0

@@ -152,9 +152,18 @@ class SegmentDataset:
         return flat, np.repeat(self.labels, n_seg)
 
 
+# The revision of the front end's arithmetic, part of every cache key: a
+# change that can move a feature bit bumps it, so entries an older front end
+# wrote are misses by name alone. Revision 2 evaluates the resampler's sum as
+# GEMMs (revision 1, whose keys hash the path alone, summed it in another order).
+FRONT_END_REVISION = 2
+
+
 def cache_path(cache_dir, wav_path, variant: features.FeatureVariant) -> Path:
-    """Cache file keyed by the clip's resolved WAV path and the feature variant."""
-    digest = hashlib.sha1(str(Path(wav_path).resolve()).encode("utf-8")).hexdigest()[:16]
+    """Cache file keyed by the clip's resolved WAV path, the front-end
+    revision and the feature variant."""
+    key = f"{Path(wav_path).resolve()}\0front end {FRONT_END_REVISION}"
+    digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
     return Path(cache_dir) / f"{Path(wav_path).stem}.{digest}.{variant.id}.lmsf"
 
 
