@@ -5,6 +5,13 @@ stereo) and prepared for feature extraction: downmix to mono by channel
 averaging, peak amplitude normalization, and band-limited resampling.
 Everything here is numpy: decoding views the file's bytes in place, and the
 resampler's polyphase sum runs as blocked matrix products (BLAS GEMMs).
+
+Beyond the decoded clip and its mono mix, a clip's preprocessing allocates
+no whole-clip array: normalizing divides in place, and the resampler copies
+its input windows block by block straight from the clip. Its temporaries
+thus stay under the C allocator's trim threshold, and their pages are
+reused from clip to clip instead of being returned to the kernel and
+faulted in again.
 """
 
 from __future__ import annotations
@@ -139,12 +146,18 @@ def downmix_mono(clip: AudioClip) -> AudioClip:
 
 
 def normalize_amplitude(clip: AudioClip) -> AudioClip:
-    """Divide a mono clip by its peak magnitude. All-zero clips pass through."""
+    """Divide a mono clip by its peak magnitude, in place, and return it.
+
+    The clip's own samples are written, so no second clip-sized array is
+    made; pass a copy to keep the original. At peak 0 (all zero, or empty)
+    or 1 nothing is written. The peak comes from the maximum and the
+    negated minimum, with no |x| temporary.
+    """
     x = clip.mono()
-    peak = np.max(np.abs(x)) if x.size else 0.0
-    if peak == 0.0 or peak == 1.0:
-        return clip
-    return AudioClip((x / peak)[None, :], clip.sample_rate)
+    peak = max(x.max(), -x.min()) if x.size else 0.0
+    if peak != 0.0 and peak != 1.0:
+        x /= peak
+    return clip
 
 
 @lru_cache(maxsize=8)
@@ -206,7 +219,11 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     delay is an exact multiple of the output period, so no fractional
     alignment is needed. The sum runs as GEMMs: blocks of at most
     _BLOCK_BYTES of input windows, copied at the output stride, times the
-    layout of `_polyphase_layout`.
+    layout of `_polyphase_layout`. Windows that lie inside the clip are
+    copied from it directly; only the rows whose window crosses either end
+    read a zero-padded copy of the span they cover, so no padded copy of
+    the whole input is made and a warm call allocates about its output plus
+    one block.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -224,18 +241,37 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if n_out == 0:
         return AudioClip(np.zeros((1, 0)), target_rate)
     rows = -(-n_out // phases)
-    # zero-padded input: xp[i] = x[first + i], so row r's window starts at xp[stride*r]
-    xp = np.zeros((rows - 1) * stride + width)
-    n_in = min(len(x), len(xp) + first)
-    xp[-first : -first + n_in] = x[:n_in]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, width)[::stride]
+    # Row r's window is x[first + stride*r : first + stride*r + width], zero
+    # outside x. Rows [lo, hi) lie inside x and are copied straight from it;
+    # the few before lo or from hi on read a zero-padded copy of what they span.
+    lo = min(rows, -(first // stride))
+    hi = max(lo, min(rows, (len(x) - width - first) // stride + 1))
+    sources = [(s0, s1, _padded_windows(x, first + stride * s0, stride, width, s1 - s0))
+               for s0, s1 in ((0, lo), (hi, rows)) if s0 < s1]
+    if lo < hi:
+        sources.append((lo, hi, np.lib.stride_tricks.sliding_window_view(
+            x[first + stride * lo :], width)[::stride]))
 
     y = np.empty((rows, phases))
-    step = max(1, _BLOCK_BYTES // (width * xp.itemsize))
+    step = max(1, _BLOCK_BYTES // (width * y.itemsize))
     block = np.empty((min(step, rows), width))
     for r0 in range(0, rows, step):
-        a = block[: min(step, rows - r0)]
-        np.copyto(a, windows[r0 : r0 + step])  # contiguous rows, so matmul uses BLAS
+        r1 = min(rows, r0 + step)
+        a = block[: r1 - r0]
+        for s0, s1, windows in sources:  # contiguous rows, so matmul uses BLAS
+            c0, c1 = max(r0, s0), min(r1, s1)
+            if c0 < c1:
+                np.copyto(a[c0 - r0 : c1 - r0], windows[c0 - s0 : c1 - s0])
         for p0, p1, offset, taps in groups:
-            np.matmul(a[:, offset : offset + len(taps)], taps, out=y[r0 : r0 + len(a), p0:p1])
+            np.matmul(a[:, offset : offset + len(taps)], taps, out=y[r0:r1, p0:p1])
     return AudioClip(y.reshape(1, -1)[:, :n_out], target_rate)
+
+
+def _padded_windows(x: np.ndarray, start: int, stride: int, width: int, n: int) -> np.ndarray:
+    """The n windows x[start + stride*i : start + stride*i + width], reading
+    zeros outside x, as views into a zero-padded copy of the span they cover."""
+    span = np.zeros((n - 1) * stride + width)
+    a, b = max(start, 0), min(start + len(span), len(x))
+    if a < b:
+        span[a - start : b - start] = x[a:b]
+    return np.lib.stride_tricks.sliding_window_view(span, width)[::stride]

@@ -11,6 +11,12 @@ Both use 64 mel bands and natural-log energies floored at 1e-10. The natural
 framing arithmetic yields 998 (V1) / 433 (V2) frames; spectrograms are
 padded by repeating the last frame or truncated so the advertised frame
 counts hold exactly and segment shapes are stable downstream.
+
+The STFT streams over blocks of frames into reused buffers, and the mel
+product writes each block's rows of the output, so no whole-clip spectrum
+is held. A clip's temporaries stay under the C allocator's trim threshold,
+and their pages are reused from clip to clip instead of being returned to
+the kernel and faulted in again.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioClip, downmix_mono, normalize_amplitude, resample
+from .audio import _BLOCK_BYTES, AudioClip, downmix_mono, normalize_amplitude, resample
 
 LOG_FLOOR = 1e-10
 N_MELS = 64
@@ -85,23 +91,55 @@ class SegmentSet:
     clip_id: str = ""
 
 
+def _power_blocks(x: np.ndarray, win: int, hop: int, n_fft: int, rows: int):
+    """Yield (r0, power) over the first `rows` STFT frames of x, in blocks.
+
+    power[i] is the squared-magnitude spectrum of frame r0 + i, in a buffer
+    the next block reuses. A block's windowed frames, complex spectrum and
+    power take about _BLOCK_BYTES together. The blocks are of equal size
+    give or take a row, so none is much smaller than the rest: BLAS may give
+    a product of a few rows a different kernel, whose sums round
+    differently, and `log_mel`'s mel GEMM over blocks must match the same
+    GEMM over every frame at once bit for bit.
+    """
+    bins = n_fft // 2 + 1
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
+    n_blocks = -(-rows * 8 * (win + 3 * bins) // _BLOCK_BYTES)
+    bounds = [rows * b // n_blocks for b in range(n_blocks + 1)]
+    windowed = np.empty((-(-rows // n_blocks), win))
+    power = np.empty((len(windowed), bins))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        a, p = windowed[: r1 - r0], power[: r1 - r0]
+        np.multiply(frames[r0:r1], window, out=a)
+        np.abs(np.fft.rfft(a, n=n_fft, axis=1), out=p)
+        np.square(p, out=p)
+        yield r0, p
+
+
+def _frame_count(x: np.ndarray, win: int, hop: int) -> int:
+    if len(x) < win:
+        raise ValueError(f"clip of {len(x)} samples is shorter than one {win}-sample window")
+    return 1 + (len(x) - win) // hop
+
+
 def power_spectrogram(clip: AudioClip, window_s: float, hop_s: float) -> np.ndarray:
     """Squared-magnitude STFT with a periodic Hann window.
 
     Frames are left-aligned (no centering), length round(window_s * rate),
     hop round(hop_s * rate), zero-padded to the next power of two. Returns a
-    frames x (n_fft/2 + 1) float64 matrix.
+    frames x (n_fft/2 + 1) float64 matrix. It is computed block by block,
+    by the same code `log_mel` streams through the mel filterbank.
     """
     x = clip.mono()
     win = round(window_s * clip.sample_rate)
     hop = round(hop_s * clip.sample_rate)
-    if len(x) < win:
-        raise ValueError(f"clip of {len(x)} samples is shorter than one {win}-sample window")
+    rows = _frame_count(x, win, hop)
     n_fft = 1 << (win - 1).bit_length()
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
-    spec = np.fft.rfft(frames * window, n=n_fft, axis=1)
-    return np.abs(spec) ** 2
+    out = np.empty((rows, n_fft // 2 + 1))
+    for r0, p in _power_blocks(x, win, hop, n_fft, rows):
+        out[r0 : r0 + len(p)] = p
+    return out
 
 
 def mel_scale(freq_hz):
@@ -144,23 +182,28 @@ def log_mel(clip: AudioClip, variant: FeatureVariant) -> LogMelSpectrogram:
     Power spectrogram frames are pooled through the mel filterbank and
     log-compressed with floor 1e-10, then the frame count is forced to
     variant.total_frames (truncate, or pad by repeating the last frame).
+    Only the frames kept are computed. The STFT streams over blocks of
+    frames (`_power_blocks`), and each block's mel GEMM writes its rows of
+    the output, so no whole-clip spectrum is ever held: a clip's
+    temporaries stay a few MB, under the allocator's trim threshold, and
+    their pages are not returned to the kernel and faulted in again for
+    every clip.
     """
     if clip.sample_rate != variant.sample_rate:
         raise ValueError(
             f"clip at {clip.sample_rate} Hz does not match variant "
             f"{variant.id} ({variant.sample_rate} Hz); resample first"
         )
-    power = power_spectrogram(clip, variant.window_s, variant.hop_s)
-    fb = mel_filterbank(variant.n_mels, power.shape[1], variant.sample_rate)
-    mel_energy = power @ fb.T
-    data = np.log(np.maximum(mel_energy, LOG_FLOOR))
-
-    n = variant.total_frames
-    if data.shape[0] > n:
-        data = data[:n]
-    elif data.shape[0] < n:
-        pad = np.repeat(data[-1:], n - data.shape[0], axis=0)
-        data = np.vstack([data, pad])
+    x = clip.mono()
+    win, hop = variant.window_length, variant.hop_length
+    rows = min(_frame_count(x, win, hop), variant.total_frames)
+    fb_t = mel_filterbank(variant.n_mels, variant.n_fft // 2 + 1, variant.sample_rate).T
+    data = np.empty((variant.total_frames, variant.n_mels))
+    for r0, p in _power_blocks(x, win, hop, variant.n_fft, rows):
+        np.matmul(p, fb_t, out=data[r0 : r0 + len(p)])
+    data[rows:] = data[rows - 1]
+    np.maximum(data, LOG_FLOOR, out=data)
+    np.log(data, out=data)
     return LogMelSpectrogram(data, variant)
 
 
@@ -180,9 +223,17 @@ def segment(spec: LogMelSpectrogram, clip_id: str = "") -> SegmentSet:
 
 def clip_log_mel(clip: AudioClip, variant: FeatureVariant) -> LogMelSpectrogram:
     """The front end for a decoded clip: downmix, peak-normalize, resample,
-    log-mel, rounded once to float32 (the values LMSF stores)."""
-    clip = normalize_amplitude(downmix_mono(clip))
-    spec = log_mel(resample(clip, variant.sample_rate), variant)
+    log-mel, rounded once to float32 (the values LMSF stores).
+
+    The caller's clip is not written: normalizing divides, in place, the
+    array downmixing made, or a copy of a mono clip's samples.
+    """
+    mono = downmix_mono(clip)
+    if mono is clip:
+        mono = AudioClip(clip.samples.copy(), clip.sample_rate)
+    resampled = resample(normalize_amplitude(mono), variant.sample_rate)
+    del mono  # when resampling made a new clip, free the input rate's samples first
+    spec = log_mel(resampled, variant)
     return LogMelSpectrogram(spec.data.astype(np.float32), variant)
 
 
