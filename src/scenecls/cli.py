@@ -13,7 +13,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,17 +42,15 @@ def cmd_extract(args) -> int:
     variant = features.VARIANTS[args.variant]
     Path(args.cache).mkdir(parents=True, exist_ok=True)
     wavs = [manifest.root / e.path for e in manifest.entries]
-
-    def cached(wav):  # by stat alone: a fresh entry of its variant's size is not read
-        cpath = pipeline.cache_path(args.cache, wav, variant)
-        return (pipeline.cache_fresh(cpath, wav)
-                and os.path.getsize(cpath) == features.lmsf_size(variant))
-
-    stale = [(e, wav) for e, wav in zip(manifest.entries, wavs) if not cached(wav)]
+    stale = [(e, wav) for e, wav in zip(manifest.entries, wavs)
+             if not pipeline.cache_hit(pipeline.cache_path(args.cache, wav, variant),
+                                       wav, variant)]
     hits = len(wavs) - len(stale)
     jobs = [(str(wav), variant.id, args.cache) for _, wav in stale]
     start = time.perf_counter()
     if args.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_extract_one, jobs))
     else:

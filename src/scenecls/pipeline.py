@@ -116,7 +116,11 @@ def parse_config(path) -> TrainConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (t.strip() for t in line.split("=", 1))
-            values[key] = int(value) if key in _INT_KEYS else value
+            try:
+                values[key] = int(value) if key in _INT_KEYS else value
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
     variant = values.pop("variant", None)
     try:
         cfg = TrainConfig(**values)
@@ -168,9 +172,22 @@ def cache_path(cache_dir, wav_path, variant: features.FeatureVariant) -> Path:
 
 
 def cache_fresh(cpath, wav) -> bool:
-    """The cache file exists and is no older than its WAV, or the WAV is gone."""
-    return os.path.exists(cpath) and (
-        not os.path.exists(wav) or os.path.getmtime(cpath) >= os.path.getmtime(wav))
+    """The cache file exists and is no older than the later of its WAV's mtime
+    and ctime, or the WAV is gone. The ctime moves whenever the WAV's bytes
+    change and no copy tool (``cp -p``, ``rsync -t``) or ``os.utime`` can set
+    it back, so different audio copied in under an old mtime is stale; so,
+    once, is a WAV whose mode or owner changed after extraction."""
+    try:
+        st = os.stat(wav)
+    except OSError:
+        return os.path.exists(cpath)
+    return os.path.exists(cpath) and os.path.getmtime(cpath) >= max(st.st_mtime, st.st_ctime)
+
+
+def cache_hit(cpath, wav, variant: features.FeatureVariant) -> bool:
+    """The one rule for using a cache entry, by stat alone: it is fresh and
+    exactly the size of a ``variant`` LMSF file."""
+    return cache_fresh(cpath, wav) and os.path.getsize(cpath) == features.lmsf_size(variant)
 
 
 def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
@@ -186,18 +203,17 @@ def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelS
 
 def clip_features(wav_path, variant: features.FeatureVariant,
                   cache_dir=None) -> features.LogMelSpectrogram:
-    """Fetch one clip's spectrogram, via the cache when possible. A cache file
-    that cannot be read, or holds another variant, is a miss and is rewritten."""
+    """Fetch one clip's spectrogram, via the cache when ``cache_hit`` allows.
+    Any other entry is a miss, extracted again and rewritten without being
+    read; a hit that cannot be read is one too, with a warning. A hit holds
+    ``variant``: an entry of its size loads as it or raises."""
     wav = Path(wav_path)
     if cache_dir is None:
         return extract_clip(wav, variant)
     cpath = cache_path(cache_dir, wav, variant)
-    if cache_fresh(cpath, wav):
+    if cache_hit(cpath, wav, variant):
         try:
-            spec = features.load_features(cpath)
-            if spec.variant.id != variant.id:
-                raise ValueError(f"{cpath}: holds variant {spec.variant.id}, not {variant.id}")
-            return spec
+            return features.load_features(cpath)
         except ValueError as exc:
             log.warning("%s; extracting again", exc)
     spec = extract_clip(wav, variant)
