@@ -23,15 +23,16 @@ from math import gcd
 
 import numpy as np
 
+from .nn import _BLOCK_BYTES, _block_bounds
+
 # Resampler design: windowed-sinc low-pass, Kaiser window, cutoff at half the
 # target rate. Fixed here so resampled output is reproducible bit-for-bit.
 KAISER_BETA = 8.6
 SINC_ZERO_CROSSINGS = 64
 
 # Resampler evaluation: every GEMM has about this many output columns at
-# least, and copies input windows in blocks of at most this many bytes.
+# least. Input windows are copied in blocks of nn._BLOCK_BYTES at most.
 _MIN_PHASES = 64
-_BLOCK_BYTES = 2 << 20
 
 
 class WavDecodeError(ValueError):
@@ -185,10 +186,11 @@ def _polyphase_layout(up: int, down: int):
     A row holds `reps` periods of `up` outputs: enough for about
     _MIN_PHASES columns per GEMM when `up` is small, but no more than keep
     `reps` copies of the filter (the taps one period's phases read) within
-    _BLOCK_BYTES. A group spans at most 2*SINC_ZERO_CROSSINGS phases: each
-    phase reads about 2*SINC_ZERO_CROSSINGS*down/up taps and the next one's
-    window starts down/up later, so a group has at most about twice the rows
-    one phase reads, and the layout about twice the filter's taps per period.
+    nn._BLOCK_BYTES, the block size `resample` cuts its rows by. A group
+    spans at most 2*SINC_ZERO_CROSSINGS phases: each phase reads about
+    2*SINC_ZERO_CROSSINGS*down/up taps and the next one's window starts
+    down/up later, so a group has at most about twice the rows one phase
+    reads, and the layout about twice the filter's taps per period.
     """
     h = _design_lowpass(up, down)
     half = SINC_ZERO_CROSSINGS * down
@@ -217,13 +219,13 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     `_design_lowpass` (up/down the rate ratio in lowest terms), and the
     output length is round(length * target_rate / sample_rate). The filter
     delay is an exact multiple of the output period, so no fractional
-    alignment is needed. The sum runs as GEMMs: blocks of at most
-    _BLOCK_BYTES of input windows, copied at the output stride, times the
-    layout of `_polyphase_layout`. Windows that lie inside the clip are
-    copied from it directly; only the rows whose window crosses either end
-    read a zero-padded copy of the span they cover, so no padded copy of
-    the whole input is made and a warm call allocates about its output plus
-    one block.
+    alignment is needed. The sum runs as GEMMs: blocks of input windows cut
+    by `nn._block_bounds` (as many rows as fit in _BLOCK_BYTES, the last
+    block the rest), copied at the output stride, times the layout of
+    `_polyphase_layout`. Windows that lie inside the clip are copied from it
+    directly; only the rows whose window crosses either end read a
+    zero-padded copy of the span they cover, so no padded copy of the whole
+    input is made and a warm call allocates about its output plus one block.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -253,10 +255,9 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
             x[first + stride * lo :], width)[::stride]))
 
     y = np.empty((rows, phases))
-    step = max(1, _BLOCK_BYTES // (width * y.itemsize))
-    block = np.empty((min(step, rows), width))
-    for r0 in range(0, rows, step):
-        r1 = min(rows, r0 + step)
+    bounds = _block_bounds(rows, width * y.itemsize)
+    block = np.empty((bounds[0][1], width))
+    for r0, r1 in bounds:
         a = block[: r1 - r0]
         for s0, s1, windows in sources:  # contiguous rows, so matmul uses BLAS
             c0, c1 = max(r0, s0), min(r1, s1)

@@ -99,7 +99,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_dumps(paths):
-    """Read dumps and align them on a common clip order; error on mismatch."""
+    """Read dumps and align them on a common clip order; error on mismatch or
+    none. Returns (name, clip ids, labels, probs, confusion) per dump."""
+    if not paths:
+        raise ValueError("no prediction dumps given")
     loaded = []
     for p in paths:
         clip_ids, labels, probs = evaluation.read_prediction_dump(p)
@@ -114,7 +117,7 @@ def _load_dumps(paths):
         if ids != ref_ids:
             missing = sorted(set(ref_ids) ^ set(ids))[:5]
             raise ValueError(f"dump {name} covers a different clip set (e.g. {missing})")
-    return loaded
+    return [(*d, evaluation.confusion(zip(d[2], d[3]))) for d in loaded]
 
 
 def cmd_ensemble(args) -> int:
@@ -123,12 +126,9 @@ def cmd_ensemble(args) -> int:
         print("need at least two prediction dumps", file=sys.stderr)
         return 2
     loaded = _load_dumps(paths)
-    labels = loaded[0][2]
-
-    candidates = []
-    for name, _, lab, probs in loaded:
-        cm = evaluation.confusion(list(zip(lab, probs)))
-        candidates.append(evaluation.EnsembleCandidate(name, probs, evaluation.macro_accuracy(cm)))
+    _, clip_ids, labels, _, _ = loaded[0]
+    candidates = [evaluation.EnsembleCandidate(name, probs, evaluation.macro_accuracy(cm))
+                  for name, _, _, probs, cm in loaded]
     spec = evaluation.select_ensemble(candidates, args.baseline / 100.0, args.k)
     by_name = {c.name: c for c in candidates}
     members = [by_name[m] for m in spec.members]
@@ -143,7 +143,7 @@ def cmd_ensemble(args) -> int:
     print(f"ensemble macro accuracy: {100.0 * evaluation.macro_accuracy(cm):.1f}")
     if args.out:
         evaluation.write_prediction_dump(
-            args.out, loaded[0][1], [CLASSES[i] for i in labels], combined
+            args.out, clip_ids, [CLASSES[i] for i in labels], combined
         )
         print(f"ensemble dump: {args.out}")
     return 0
@@ -161,14 +161,8 @@ def cmd_predict(args) -> int:
 
 def cmd_report(args) -> int:
     paths = [p for p in args.dumps.split(",") if p]
-    loaded = _load_dumps(paths)
-    names, columns, cms = [], [], []
-    for name, _, lab, probs in loaded:
-        cm = evaluation.confusion(list(zip(lab, probs)))
-        names.append(name)
-        columns.append(evaluation.class_accuracy(cm))
-        cms.append(cm)
-    text, csv = evaluation.render_report(names, columns, cms)
+    names, _, _, _, cms = zip(*_load_dumps(paths))
+    text, csv = evaluation.render_report(names, [evaluation.class_accuracy(cm) for cm in cms], cms)
     print(text, end="")
     if args.out:
         evaluation.write_text_atomic(args.out, csv)

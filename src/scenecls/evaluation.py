@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -115,17 +116,9 @@ class EnsembleSpec:
     members: tuple
 
 
-def _pairwise_disagreement(preds_a: np.ndarray, preds_b: np.ndarray) -> float:
-    return float(np.mean(preds_a != preds_b))
-
-
 def _set_disagreement(pred_sets) -> float:
-    pairs = [
-        _pairwise_disagreement(pred_sets[i], pred_sets[j])
-        for i in range(len(pred_sets))
-        for j in range(i + 1, len(pred_sets))
-    ]
-    return float(np.mean(pairs)) if pairs else 0.0
+    """Mean argmax disagreement over every pair of two or more sets."""
+    return float(np.mean([np.mean(a != b) for a, b in itertools.combinations(pred_sets, 2)]))
 
 
 def select_ensemble(candidates, baseline_acc: float, k: int = 3) -> EnsembleSpec:

@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import _BLOCK_BYTES, AudioClip, downmix_mono, normalize_amplitude, resample
+from .audio import AudioClip, downmix_mono, normalize_amplitude, resample
+from .nn import _block_bounds
 
 LOG_FLOOR = 1e-10
 N_MELS = 64
@@ -96,20 +97,20 @@ def _power_blocks(x: np.ndarray, win: int, hop: int, n_fft: int, rows: int):
 
     power[i] is the squared-magnitude spectrum of frame r0 + i, in a buffer
     the next block reuses. A block's windowed frames, complex spectrum and
-    power take about _BLOCK_BYTES together. The blocks are of equal size
-    give or take a row, so none is much smaller than the rest: BLAS may give
-    a product of a few rows a different kernel, whose sums round
-    differently, and `log_mel`'s mel GEMM over blocks must match the same
-    GEMM over every frame at once bit for bit.
+    power take about nn._BLOCK_BYTES together. The blocks are cut by
+    `_block_bounds(..., equal=True)`, of equal size give or take a row, so
+    none is much smaller than the rest: BLAS may give a product of a few
+    rows a different kernel, whose sums round differently, and `log_mel`'s
+    mel GEMM over blocks must match the same GEMM over every frame at once
+    bit for bit.
     """
     bins = n_fft // 2 + 1
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
-    n_blocks = -(-rows * 8 * (win + 3 * bins) // _BLOCK_BYTES)
-    bounds = [rows * b // n_blocks for b in range(n_blocks + 1)]
-    windowed = np.empty((-(-rows // n_blocks), win))
+    bounds = _block_bounds(rows, 8 * (win + 3 * bins), equal=True)
+    windowed = np.empty((max(r1 - r0 for r0, r1 in bounds), win))
     power = np.empty((len(windowed), bins))
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+    for r0, r1 in bounds:
         a, p = windowed[: r1 - r0], power[: r1 - r0]
         np.multiply(frames[r0:r1], window, out=a)
         np.abs(np.fft.rfft(a, n=n_fft, axis=1), out=p)

@@ -19,15 +19,16 @@ finite-difference tests rather than runtime checks.
 
 Convolutions are stride-1 with "same" zero padding, computed as im2col plus
 GEMM over blocks of whole samples of about _BLOCK_BYTES patch bytes each, so
-no patch matrix of the whole batch is ever built. The forward pass writes
-each block's output rows, and how the batch is cut changes none of their
-bits; the kernel gradient sums one product per block; the input gradient is
-the same blocked convolution of the output gradient by the flipped,
-in/out-swapped kernels, and a ModelGraph's first layer skips it. A
-one-channel input builds its patches tap-major, a copy of whole padded rows
-per kernel tap, and the GEMMs read them transposed. Max pooling windows equal
-their stride and drop trailing remainders. The 1-D layers are the width-1 2-D
-ones.
+no patch matrix of the whole batch is ever built. `_block_bounds` cuts these
+blocks, and the front end's resampler and STFT blocks, by the one
+_BLOCK_BYTES. The forward pass writes each block's output rows, and how the
+batch is cut changes none of their bits; the kernel gradient sums one
+product per block; the input gradient is the same blocked convolution of the
+output gradient by the flipped, in/out-swapped kernels, and a ModelGraph's
+first layer skips it. A one-channel input builds its patches tap-major, a
+copy of whole padded rows per kernel tap, and the GEMMs read them
+transposed. Max pooling windows equal their stride and drop trailing
+remainders. The 1-D layers are the width-1 2-D ones.
 
 Layers over few channels run along long rows, not loops as short as the
 channel count, with the bits of the plain forms: max pooling is a running
@@ -191,11 +192,32 @@ def _channel_sums(a2):
     return a2.sum(axis=0) if a2.shape[1] == 1 else np.einsum("ij->j", a2)
 
 
-# Patch-matrix bytes per batch block, so that a block's patch rows are still
-# in cache when its GEMM reads them. 2 MiB is one core's L2 on the Xeon it was
-# tuned on (one BLAS thread): float32 training steps ran 0-10% faster than at
-# 1 MiB and level with 4 MiB.
+# Bytes per block for every loop that streams its rows in blocks: the
+# convolution's patch rows (`_patch_blocks`), the resampler's input windows and
+# the STFT's frames. In the convolution a block's patch rows are still in cache
+# when its GEMM reads them: 2 MiB is one core's L2 on the Xeon it was tuned on
+# (one BLAS thread), and float32 training steps ran 0-10% faster than at 1 MiB
+# and level with 4 MiB. In the front end a clip's temporaries stay a few MB,
+# under the allocator's trim threshold, so their pages are reused rather than
+# returned to the kernel and faulted in again for every clip.
 _BLOCK_BYTES = 2 << 20
+
+
+def _block_bounds(rows, row_bytes, equal=False):
+    """The (r0, r1) blocks, in order, that cover range(rows) exactly, each of
+    about _BLOCK_BYTES of `row_bytes`-byte rows and at least one row.
+
+    By default a block holds as many rows as fit and the last one takes the
+    rest. With `equal`, the blocks are as few as fit and differ in size by at
+    most one row, so none is much smaller than the rest. Each loop keeps its
+    own mode, since where the cuts fall is part of its arithmetic.
+    """
+    if equal:
+        n = max(1, min(rows, -(-rows * row_bytes // _BLOCK_BYTES)))
+        cuts = [rows * b // n for b in range(n + 1)]
+    else:
+        cuts = [*range(0, rows, max(1, _BLOCK_BYTES // row_bytes)), rows]
+    return [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r0 < r1]
 
 
 def _patch_blocks(x, kh, kw):
@@ -204,14 +226,13 @@ def _patch_blocks(x, kh, kw):
 
     A block's patch rows are its output positions in (n, h, w) order, its
     columns (kh, kw, C) ordered to match the kernels. A block holds as many
-    samples as fit in _BLOCK_BYTES of patches, at least one; a batch that
-    fits whole is one block.
+    samples as fit in _BLOCK_BYTES of patches (`_block_bounds`), at least
+    one; a batch that fits whole is one block.
     """
     n, h, w, c = x.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    step = max(1, _BLOCK_BYTES // (h * w * kh * kw * c * x.itemsize))
-    for s in range(0, n, step):
-        block = x[s : s + step]
+    for s, s1 in _block_bounds(n, h * w * kh * kw * c * x.itemsize):
+        block = x[s:s1]
         if c == 1 and (ph or pw):
             # One channel: a row-major patch copies runs of only kw values, so
             # fill the patches tap-major instead, each tap a copy of whole
