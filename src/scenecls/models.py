@@ -7,9 +7,9 @@ its shape pass gives each layer its input channels and fan-in from the
 lines before it and allocates the layer's parameters, and the graph keeps
 the text. `parse_model_spec` then runs the init pass, Glorot draws from one
 seeded stream in layer order, for a float64 graph; `load_model` allocates
-in float32 instead and fills every tensor from the checkpoint, drawing
-nothing. Checkpoints embed the text as it was parsed, so this module alone
-writes and reads the grammar.
+in float32 instead and reads every tensor from the checkpoint straight into
+its array, drawing nothing. Checkpoints embed the text as it was parsed, so
+this module alone writes and reads the grammar.
 
 The builders below only write spec lines. Registry names bind a builder
 call to the feature variant it consumes:
@@ -233,9 +233,8 @@ def load_model(path) -> nn.ModelGraph:
     """Rebuild a float32 graph from a checkpoint, restoring parameters, running
     statistics and optimizer accumulators (exactly: checkpoints store float32).
 
-    The shape pass allocates every tensor in float32, and `load_state` fills
-    it from the checkpoint's: nothing is drawn, widened or cast."""
-    spec_text, tensors = nn.read_checkpoint(path)
-    graph = _build_from_spec(spec_text, np.float32)
-    graph.load_state(tensors)
+    One walk over the file: the spec's shape pass allocates every tensor in
+    float32, and each stored tensor, found by name, is read straight into its
+    array. Nothing is drawn, widened, cast or copied twice."""
+    graph, _ = nn._walk_checkpoint(path, lambda text: _build_from_spec(text, np.float32))
     return graph

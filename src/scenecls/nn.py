@@ -8,7 +8,7 @@ Graphs built by `models.build_model`, `models.parse_model_spec` or directly
 are float64, and the finite-difference and oracle tests run on that.
 Float32 is the one precision that training, inference and checkpoints use:
 `pipeline.train` casts its graph, and `models.load_model` builds one in
-float32 and fills it from the checkpoint. Every layer keeps its input's
+float32 and reads the checkpoint into it. Every layer keeps its input's
 dtype, except that Softmax returns its 15-wide output in float64, so fused
 rows sum to 1 within 1e-8.
 
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -789,8 +790,25 @@ def write_checkpoint(path, spec_text: str, tensors) -> None:
 
 
 def read_checkpoint(path) -> tuple:
-    """Read back (spec_text, OrderedDict of float32 tensors), each a read-only
-    view of the bytes read; every length is checked against the bytes left."""
+    """Read back (spec_text, OrderedDict of float32 tensors, in file order),
+    each a read-only array of its own. This is the walk `models.load_model`
+    uses, reading each tensor into a new array instead of a graph's."""
+    return _walk_checkpoint(path, str)
+
+
+def _walk_checkpoint(path, build) -> tuple:
+    """Walk a checkpoint's headers once, reading each stored tensor's payload
+    straight into an array; return (build(spec_text), OrderedDict of the
+    arrays read, in file order).
+
+    When ``build`` makes a ModelGraph, each tensor is read into the graph's
+    array of the same name, so the file's order does not matter; every name
+    must be the graph's, with its shape, and every graph tensor must be read.
+    Otherwise each tensor is read into a new, read-only float32 array. Every
+    length is checked against the bytes left before it is read, and every
+    failure, building from the spec included, is a CheckpointError naming
+    the file.
+    """
 
     def take(fh, n, what, text=False):
         if n > size - fh.tell():
@@ -808,6 +826,12 @@ def read_checkpoint(path) -> tuple:
         if version != _SPCK_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         spec_text = take(fh, spec_len, "model spec", text=True)
+        try:
+            built = build(spec_text)
+        except (ArithmeticError, LookupError, MemoryError, ValueError) as exc:
+            raise CheckpointError(f"{path}: model spec: {exc}") from None
+        # The graph's arrays not read yet, by name; None: a new array per tensor.
+        state = dict(built.state_tensors()) if isinstance(built, ModelGraph) else None
         tensors = OrderedDict()
         while fh.tell() < size:
             (name_len,) = struct.unpack("<H", take(fh, 2, "tensor header"))
@@ -818,6 +842,18 @@ def read_checkpoint(path) -> tuple:
             if rank > 32:  # stored tensors have rank 4 at most; numpy allows 64
                 raise CheckpointError(f"{path}: tensor {name} has rank {rank}")
             dims = struct.unpack(f"<{rank}I", take(fh, 4 * rank, "dims"))
-            payload = take(fh, 4 * math.prod(dims), f"payload of {name}")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    return spec_text, tensors
+            if 4 * math.prod(dims) > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated reading payload of {name}")
+            arr = np.empty(dims, np.float32) if state is None else state.pop(name, None)
+            if arr is None:
+                raise CheckpointError(f"{path}: state mismatch (unexpected {name})")
+            if arr.shape != dims:
+                raise CheckpointError(f"{path}: {name}: shape {dims} != {arr.shape}")
+            fh.readinto(arr)
+            if sys.byteorder == "big":  # the payload is little-endian
+                arr.byteswap(inplace=True)
+            arr.flags.writeable = state is not None
+            tensors[name] = arr
+    if state:
+        raise CheckpointError(f"{path}: state mismatch (missing {sorted(state)[:3]})")
+    return built, tensors
