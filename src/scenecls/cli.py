@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, features, models, pipeline
+from . import evaluation, features, models, nn, pipeline
 from .evaluation import CLASSES
 
 CACHE_ENV = "SCENECLS_CACHE"
@@ -25,6 +25,13 @@ CACHE_ENV = "SCENECLS_CACHE"
 
 def _default_cache():
     return os.environ.get(CACHE_ENV, "")
+
+
+def _worker_count(text):
+    """argparse type for --workers: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _extract_one(args):
@@ -179,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--variant", required=True, choices=sorted(features.VARIANTS))
     p.add_argument("--cache", default=_default_cache(), required=not _default_cache())
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_worker_count, default=nn.cores(),
+                   help="extraction processes (default: the cores this process may use)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a model from a key=value config file")

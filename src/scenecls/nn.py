@@ -25,10 +25,33 @@ _BLOCK_BYTES. The forward pass writes each block's output rows, and how the
 batch is cut changes none of their bits; the kernel gradient sums one
 product per block; the input gradient is the same blocked convolution of the
 output gradient by the flipped, in/out-swapped kernels, and a ModelGraph's
-first layer skips it. A one-channel input builds its patches tap-major, a
-copy of whole padded rows per kernel tap, and the GEMMs read them
-transposed. Max pooling windows equal their stride and drop trailing
-remainders. The 1-D layers are the width-1 2-D ones.
+first layer skips it. A one-channel input builds its patches tap-major, in
+one copy along whole padded rows, and the GEMMs read them transposed. Max
+pooling windows equal their stride and drop trailing remainders. The 1-D
+layers are the width-1 2-D ones.
+
+A pass over a batch is dealt out (`_deal`) in contiguous runs, one per core
+this process may run on (`cores`, its CPU affinity set): the first run in
+the calling thread, the others on a pool of threads made by the first pass
+that needs it. That covers the convolution's blocks, each GEMM writing its
+own output rows (the input gradient is such a convolution); the kernel
+gradient's per-block products, which the caller adds in block order; and,
+split by whole samples, the elementwise passes of ReLU, max pooling (the
+running maximum and hit mask) and BatchNorm (centring, scaling and shift),
+their gradients and the convolution bias. A pass goes to the pool only when
+it spans at least cores() * _BLOCK_BYTES bytes, so a clip's few segments
+mostly stay in one thread. In one thread stay the sums whose order is
+pinned (BatchNorm's channel sums and variance, the bias gradients), Dropout's
+random draws, Dense, Adadelta, and a one-channel input's kernel gradient,
+whose long thin GEMMs ran slower on two threads. No bit depends on the
+worker count: every element is computed by the same operations on the same
+operands whichever thread runs it, each block's GEMM is the call one thread
+makes, and every sum adds in its one-thread order. Threads overlap because
+numpy releases the GIL inside GEMMs, copies and ufuncs. The pool assumes
+one BLAS thread per worker (OPENBLAS_NUM_THREADS=1, as the benchmark sets);
+with OpenBLAS's default of a thread per core the two counts multiply. On
+one core no pool is made and no thread started, and a forked child drops
+the pool it inherits.
 
 Layers over few channels run along long rows, not loops as short as the
 channel count, with the bits of the plain forms: max pooling is a running
@@ -44,6 +67,7 @@ import math
 import os
 import struct
 import sys
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -125,15 +149,25 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0.0
-        # np.where(mask, x, 0.0) bit for bit (NaN -> 0, -0.0 -> +0.0), but
-        # branch-free: where's cost grows fivefold as the signs mix
-        out = np.fmax(x, 0.0)
-        out += 0.0
+        mask = self._mask = np.empty(x.shape, bool)
+        out = np.empty_like(x)
+
+        def run(s0, s1):
+            np.greater(x[s0:s1], 0.0, out=mask[s0:s1])
+            # np.where(mask, x, 0.0) bit for bit (NaN -> 0, -0.0 -> +0.0), but
+            # branch-free: where's cost grows fivefold as the signs mix
+            np.fmax(x[s0:s1], 0.0, out=out[s0:s1])
+            out[s0:s1] += 0.0
+
+        _deal(len(x), x.nbytes, run)
         return out
 
     def backward(self, gout):
-        return gout * self._need_cache(self._mask)
+        mask = self._need_cache(self._mask)
+        gx = np.empty(gout.shape, gout.dtype)
+        _deal(len(gout), gout.nbytes,
+              lambda s0, s1: np.multiply(gout[s0:s1], mask[s0:s1], out=gx[s0:s1]))
+        return gx
 
 
 class Flatten(Layer):
@@ -221,45 +255,110 @@ def _block_bounds(rows, row_bytes, equal=False):
     return [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r0 < r1]
 
 
-def _patch_blocks(x, kh, kw):
-    """Yield (row slice, patch matrix) for each block of whole samples of
-    ``x`` (N, H, W, C), "same" zero-padded for a kh x kw kernel.
+def cores() -> int:
+    """The number of cores this process may run on: its CPU affinity set,
+    which taskset and cpusets narrow, where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
 
-    A block's patch rows are its output positions in (n, h, w) order, its
-    columns (kh, kw, C) ordered to match the kernels. A block holds as many
-    samples as fit in _BLOCK_BYTES of patches (`_block_bounds`), at least
-    one; a batch that fits whole is one block.
+
+# The worker threads: made by the first pass that deals work out, one per
+# core it counts beyond the caller's; dropped in a forked child, which
+# inherits the executor but none of its threads.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _deal(n, nbytes, fn):
+    """Run ``fn(i0, i1)`` over contiguous runs of ``range(n)`` and return
+    their results in order: one run per core, the first in the calling
+    thread and the rest on the pool, when the pass spans at least
+    cores() * _BLOCK_BYTES bytes; otherwise ``[fn(0, n)]`` in this thread.
+
+    Runs must write disjoint outputs. What a run computes must not depend
+    on where the runs are cut; the caller combines the results in order.
     """
-    n, h, w, c = x.shape
+    workers = cores()
+    if workers < 2 or n < 2 or nbytes < workers * _BLOCK_BYTES:
+        return [fn(0, n)]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures.thread import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(workers - 1, "scenecls-nn")
+    runs = min(workers, n)
+    cuts = [n * k // runs for k in range(runs + 1)]
+    futures = [_pool.submit(fn, i0, i1) for i0, i1 in zip(cuts[1:-1], cuts[2:])]
+    try:
+        first = fn(0, cuts[1])
+    finally:
+        for f in futures:  # no run may outlive the pass, even one that failed
+            f.exception()
+    return [first, *(f.result() for f in futures)]
+
+
+def _patches(block, kh, kw):
+    """The patch matrix of ``block`` (N, H, W, C), "same" zero-padded for a
+    kh x kw kernel: rows are output positions in (n, h, w) order, columns
+    (kh, kw, C) ordered to match the kernels."""
+    n, h, w, c = block.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    for s, s1 in _block_bounds(n, h * w * kh * kw * c * x.itemsize):
-        block = x[s:s1]
-        if c == 1 and (ph or pw):
-            # One channel: a row-major patch copies runs of only kw values, so
-            # fill the patches tap-major instead, each tap a copy of whole
-            # padded rows, and hand the GEMMs the transpose.
-            block = np.pad(block[..., 0], ((0, 0), (ph, ph), (pw, pw)))
-            taps = np.empty((kh, kw, len(block), h, w), x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    taps[i, j] = block[:, i : i + h, j : j + w]
-            cols = taps.reshape(kh * kw, -1).T
-        elif ph or pw:
-            block = np.pad(block, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-            win = np.lib.stride_tricks.sliding_window_view(block, (kh, kw), axis=(1, 2))
-            cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c)
-        else:
-            cols = block.reshape(-1, c)
-        yield slice(s * h * w, s * h * w + len(cols)), cols
+    if c == 1 and (ph or pw):
+        # One channel: a row-major patch copies runs of only kw values, so
+        # lay the patches out tap-major instead, in one copy along whole
+        # padded rows, and hand the GEMMs the transpose.
+        block = np.pad(block[..., 0], ((0, 0), (ph, ph), (pw, pw)))
+        win = np.lib.stride_tricks.sliding_window_view(block, (kh, kw), axis=(1, 2))
+        return np.ascontiguousarray(win.transpose(3, 4, 0, 1, 2)).reshape(kh * kw, -1).T
+    if ph or pw:
+        block = np.pad(block, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        win = np.lib.stride_tricks.sliding_window_view(block, (kh, kw), axis=(1, 2))
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c)
+    return block.reshape(-1, c)
+
+
+def _conv_blocks(x, kh, kw):
+    """The (s0, s1) sample blocks of ``x`` (N, H, W, C) for a kh x kw
+    kernel, each as many samples as fit in _BLOCK_BYTES of patches
+    (`_block_bounds`), at least one, and their patch bytes in all."""
+    n, h, w, c = x.shape
+    sample = h * w * kh * kw * c * x.itemsize
+    return _block_bounds(n, sample), n * sample
+
+
+def _patch_blocks(x, kh, kw):
+    """Yield (row slice, patch matrix) for each block of `_conv_blocks`; a
+    batch that fits whole is one block."""
+    hw = x.shape[1] * x.shape[2]
+    for s0, s1 in _conv_blocks(x, kh, kw)[0]:
+        yield slice(s0 * hw, s1 * hw), _patches(x[s0:s1], kh, kw)
 
 
 def _conv_same(x, kmat, kh, kw):
     """Same-padded stride-1 convolution of ``x`` (N, H, W, C) by ``kmat``
-    (kh*kw*C, out), without bias: one GEMM per batch block into the output."""
+    (kh*kw*C, out), without bias: one GEMM per batch block into its own
+    rows of the output, the blocks dealt out in runs (`_deal`)."""
     n, h, w = x.shape[:3]
     out = np.empty((n * h * w, kmat.shape[1]), np.result_type(x, kmat))
-    for rows, cols in _patch_blocks(x, kh, kw):
-        np.matmul(cols, kmat, out=out[rows])
+    blocks, nbytes = _conv_blocks(x, kh, kw)
+
+    def gemms(b0, b1):
+        for s0, s1 in blocks[b0:b1]:
+            np.matmul(_patches(x[s0:s1], kh, kw), kmat, out=out[s0 * h * w : s1 * h * w])
+
+    _deal(len(blocks), nbytes, gemms)
     return out.reshape(n, h, w, -1)
 
 
@@ -297,7 +396,8 @@ class Conv2D(Layer):
         self._x = x
         out = _conv_same(x, self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout), kh, kw)
         rows = out.reshape(len(out), -1)  # the bias tiled along each sample's row, as in BatchNorm
-        rows += np.tile(self.bias.value, rows.shape[1] // cout)
+        bias = np.tile(self.bias.value, rows.shape[1] // cout)
+        _deal(len(rows), rows.nbytes, lambda s0, s1: np.add(rows[s0:s1], bias, out=rows[s0:s1]))
         return out
 
     def backward(self, gout):
@@ -306,8 +406,26 @@ class Conv2D(Layer):
         cout, kh, kw, cin = kernels.shape
         gflat = gout.reshape(-1, cout)
         gk = np.zeros((cout, kh * kw * cin), np.result_type(gout, x))
-        for rows, cols in _patch_blocks(x, kh, kw):
-            gk += gflat[rows].T @ cols
+        blocks, nbytes = _conv_blocks(x, kh, kw)
+        hw = x.shape[1] * x.shape[2]
+
+        def products(b0, b1):
+            # the sum of one product per block, in block order: the first run
+            # adds its own as they come, the caller then adds the others'
+            out = []
+            for s0, s1 in blocks[b0:b1]:
+                prod = gflat[s0 * hw : s1 * hw].T @ _patches(x[s0:s1], kh, kw)
+                if b0 == 0:
+                    np.add(gk, prod, out=gk)
+                else:
+                    out.append(prod)
+            return out
+
+        # one-channel (tap-major) patches stay in one thread: their long thin
+        # GEMMs ran slower on two (cnn-v2-3's first layer, 130 -> 175 ms a step)
+        for run in _deal(len(blocks), 0 if cin == 1 else nbytes, products):
+            for prod in run:
+                gk += prod
         self.kernels.grad = gk.reshape(self.kernels.value.shape)
         self.bias.grad = _channel_sums(gflat)
         if not self._input_grad:
@@ -377,20 +495,37 @@ class BatchNorm(Layer):
         x2 = x.reshape(-1, c)
         rows = x.reshape(len(x), -1)
         reps = rows.shape[1] // c  # channel vectors tiled this often fill a row
+        # The centring, scaling and shift passes run by whole samples
+        # (`_deal`); the channel sums and the variance in one thread, in
+        # their pinned order.
+        mean = _channel_sums(x2) / len(x2) if train else self.running_mean
+        tmean = np.tile(mean, reps)
+        x_hat = np.empty(rows.shape, np.result_type(rows, tmean))
+
+        def centre(s0, s1):
+            np.subtract(rows[s0:s1], tmean, out=x_hat[s0:s1])
+
         if train:
-            mean = _channel_sums(x2) / len(x2)
-            x_hat = rows - np.tile(mean, reps)
+            _deal(len(rows), rows.nbytes, centre)
             h2 = x_hat.reshape(-1, c)
             var = np.einsum("ij,ij->j", h2, h2) / len(x2)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
-            mean, var = self.running_mean, self.running_var
-            x_hat = rows - np.tile(mean, reps)
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat *= np.tile(inv_std, reps)
-        out = x_hat * np.tile(self.gain.value, reps)
-        out += np.tile(self.shift.value, reps)
+        tinv, tgain, tshift = (np.tile(v, reps) for v in (inv_std, self.gain.value,
+                                                           self.shift.value))
+        out = np.empty(rows.shape, np.result_type(x_hat, tgain))
+
+        def scale_shift(s0, s1):
+            if not train:
+                centre(s0, s1)
+            np.multiply(x_hat[s0:s1], tinv, out=x_hat[s0:s1])
+            np.multiply(x_hat[s0:s1], tgain, out=out[s0:s1])
+            out[s0:s1] += tshift
+
+        _deal(len(rows), rows.nbytes, scale_shift)
         self._cache = (x_hat, inv_std, train)
         return out.reshape(x.shape)
 
@@ -404,14 +539,27 @@ class BatchNorm(Layer):
         self.shift.grad = _channel_sums(g2)
         rows = gout.reshape(x_hat.shape)
         if not train:
-            gx = rows * np.tile(self.gain.value, reps) * np.tile(inv_std, reps)
-            return gx.reshape(gout.shape)
-        # gain * inv_std * (gout - shift.grad / m - x_hat * gain.grad / m), in one buffer
-        m = len(h2)
-        gx = x_hat * np.tile(self.gain.grad / m, reps)
-        np.subtract(rows, gx, out=gx)
-        gx -= np.tile(self.shift.grad / m, reps)
-        gx *= np.tile(self.gain.value * inv_std, reps)
+            tgain, tinv = np.tile(self.gain.value, reps), np.tile(inv_std, reps)
+            gx = np.empty(rows.shape, np.result_type(rows, tgain, tinv))
+
+            def run(s0, s1):
+                np.multiply(rows[s0:s1], tgain, out=gx[s0:s1])
+                gx[s0:s1] *= tinv
+        else:
+            # gain * inv_std * (gout - shift.grad / m - x_hat * gain.grad / m), in one buffer
+            m = len(h2)
+            tgg, tsg = np.tile(self.gain.grad / m, reps), np.tile(self.shift.grad / m, reps)
+            tscale = np.tile(self.gain.value * inv_std, reps)
+            gx = np.empty(rows.shape, np.result_type(x_hat, tgg))
+
+            def run(s0, s1):
+                g = gx[s0:s1]
+                np.multiply(x_hat[s0:s1], tgg, out=g)
+                np.subtract(rows[s0:s1], g, out=g)
+                g -= tsg
+                g *= tscale
+
+        _deal(len(rows), rows.nbytes, run)
         return gx.reshape(gout.shape)
 
     def named_params(self):
@@ -442,29 +590,41 @@ class MaxPool2D(Layer):
         if h2 == 0 or w2 == 0:
             raise ValueError(f"pool window {self.ph}x{self.pw} larger than input {h}x{w}")
         win = self._windows(x, h2, w2)
-        # a running maximum, one np.maximum over the whole output per window
-        # offset in row-major order; max(axis=(2, 4)) reduces in loops only
-        # ph * pw long
-        out = win[:, :, 0, :, 0, :].copy()
-        for i in range(self.ph):
-            for j in range(self.pw):
-                if i or j:
-                    np.maximum(out, win[:, :, i, :, j, :], out=out)
-        # one byte per position: does it hold its window's maximum?
-        self._cache = (win == out[:, :, None, :, None, :], x.shape)
+        out = np.empty((len(x), h2, w2, x.shape[3]), x.dtype)
+        hit = np.empty(win.shape, bool)  # one byte per position: does it hold its window's maximum?
+
+        def run(s0, s1):
+            # a running maximum, one np.maximum over the whole output per
+            # window offset in row-major order; max(axis=(2, 4)) reduces in
+            # loops only ph * pw long
+            w, o = win[s0:s1], out[s0:s1]
+            np.copyto(o, w[:, :, 0, :, 0, :])
+            for i in range(self.ph):
+                for j in range(self.pw):
+                    if i or j:
+                        np.maximum(o, w[:, :, i, :, j, :], out=o)
+            np.equal(w, o[:, :, None, :, None, :], out=hit[s0:s1])
+
+        _deal(len(x), x.nbytes, run)
+        self._cache = (hit, x.shape)
         return out
 
     def backward(self, gout):
         hit, in_shape = self._need_cache(self._cache)
         gx = np.zeros(in_shape, gout.dtype)
         gwin = self._windows(gx, gout.shape[1], gout.shape[2])
-        free = np.ones(gout.shape, dtype=bool)  # windows whose maximum is not yet routed
-        for i in range(self.ph):
-            for j in range(self.pw):
-                first = hit[:, :, i, :, j, :] & free
-                # branch-free, unlike copyto(where=first), whose cost follows the hits
-                np.multiply(gout, first, out=gwin[:, :, i, :, j, :])
-                free &= ~first
+
+        def run(s0, s1):
+            g = gout[s0:s1]
+            free = np.ones(g.shape, dtype=bool)  # windows whose maximum is not yet routed
+            for i in range(self.ph):
+                for j in range(self.pw):
+                    first = hit[s0:s1, :, i, :, j, :] & free
+                    # branch-free, unlike copyto(where=first), whose cost follows the hits
+                    np.multiply(g, first, out=gwin[s0:s1, :, i, :, j, :])
+                    free &= ~first
+
+        _deal(len(gout), gx.nbytes, run)
         return gx
 
 
