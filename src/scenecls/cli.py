@@ -4,6 +4,9 @@ Subcommands: extract (feature cache), train, evaluate (prediction dump plus
 metrics), ensemble (member selection and geometric-mean fusion over dumps),
 predict (single WAV, with features computed as extract and evaluate compute
 them), report (accuracy tables from dumps).
+
+extract runs up to --workers clips at once, one per thread; one worker runs
+them in the calling thread. scenecls starts no child process.
 """
 
 from __future__ import annotations
@@ -34,16 +37,6 @@ def _worker_count(text):
     return int(text)
 
 
-def _extract_one(args):
-    """Worker body: returns an error message, or None on success."""
-    wav_path, variant_id, cache_dir = args
-    try:
-        pipeline.clip_features(wav_path, features.VARIANTS[variant_id], cache_dir)
-        return None
-    except Exception as exc:  # per-file isolation: report, keep going
-        return str(exc)
-
-
 def cmd_extract(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     variant = features.VARIANTS[args.variant]
@@ -53,21 +46,28 @@ def cmd_extract(args) -> int:
              if not pipeline.cache_hit(pipeline.cache_path(args.cache, wav, variant),
                                        wav, variant)]
     hits = len(wavs) - len(stale)
-    jobs = [(str(wav), variant.id, args.cache) for _, wav in stale]
-    start = time.perf_counter()
-    if args.workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_extract_one, jobs))
+    def extract_one(wav):
+        """Returns an error message, or None on success."""
+        try:
+            pipeline.clip_features(wav, variant, args.cache)
+        except Exception as exc:  # per-file isolation: report, keep going
+            return str(exc)
+
+    start = time.perf_counter()
+    if args.workers > 1 and len(stale) > 1:
+        from concurrent.futures.thread import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(args.workers, "scenecls-extract") as pool:
+            results = list(pool.map(extract_one, [wav for _, wav in stale]))
     else:
-        results = [_extract_one(j) for j in jobs]
+        results = [extract_one(wav) for _, wav in stale]
     seconds = time.perf_counter() - start
     failures = [(e.path, err) for (e, _), err in zip(stale, results) if err is not None]
     done = len(wavs) - len(failures)
     print(f"extracted features for {done} clips ({hits} already cached) -> {args.cache}")
-    rate = len(jobs) / seconds if seconds > 0 else 0.0
-    print(f"{len(jobs)} clips in {seconds:.2f} s ({rate:.1f} clips/s), {len(failures)} failed")
+    rate = len(stale) / seconds if seconds > 0 else 0.0
+    print(f"{len(stale)} clips in {seconds:.2f} s ({rate:.1f} clips/s), {len(failures)} failed")
     for clip_path, err in failures:
         print(f"FAILED {clip_path}: {err}", file=sys.stderr)
     return 1 if failures else 0
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=sorted(features.VARIANTS))
     p.add_argument("--cache", default=_default_cache(), required=not _default_cache())
     p.add_argument("--workers", type=_worker_count, default=nn.cores(),
-                   help="extraction processes (default: the cores this process may use)")
+                   help="extraction threads (default: the cores this process may use)")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a model from a key=value config file")

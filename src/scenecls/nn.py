@@ -913,12 +913,13 @@ class Adadelta:
 
 @contextmanager
 def atomic_path(path):
-    """Yield a per-process temp name beside ``path`` to write to.
+    """Yield a per-thread temp name beside ``path`` to write to.
 
     The temp file is renamed onto ``path`` when the block succeeds and
-    removed when it raises, so readers never see a partial file.
+    removed when it raises, so readers never see a partial file, and two
+    writers of one target, in processes or threads, never share a temp file.
     """
-    tmp = Path(f"{path}.tmp.{os.getpid()}")
+    tmp = Path(f"{path}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
         yield tmp
         os.replace(tmp, path)
