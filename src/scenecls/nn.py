@@ -35,23 +35,23 @@ this process may run on (`cores`, its CPU affinity set): the first run in
 the calling thread, the others on a pool of threads made by the first pass
 that needs it. That covers the convolution's blocks, each GEMM writing its
 own output rows (the input gradient is such a convolution); the kernel
-gradient's per-block products, which the caller adds in block order; and,
-split by whole samples, the elementwise passes of ReLU, max pooling (the
-running maximum and hit mask) and BatchNorm (centring, scaling and shift),
-their gradients and the convolution bias. A pass goes to the pool only when
-it spans at least cores() * _BLOCK_BYTES bytes, so a clip's few segments
-mostly stay in one thread. In one thread stay the sums whose order is
-pinned (BatchNorm's channel sums and variance, the bias gradients), Dropout's
-random draws, Dense, Adadelta, and a one-channel input's kernel gradient,
-whose long thin GEMMs ran slower on two threads. No bit depends on the
-worker count: every element is computed by the same operations on the same
-operands whichever thread runs it, each block's GEMM is the call one thread
-makes, and every sum adds in its one-thread order. Threads overlap because
-numpy releases the GIL inside GEMMs, copies and ufuncs. The pool assumes
-one BLAS thread per worker (OPENBLAS_NUM_THREADS=1, as the benchmark sets);
-with OpenBLAS's default of a thread per core the two counts multiply. On
-one core no pool is made and no thread started, and a forked child drops
-the pool it inherits.
+gradient's per-block products, each into its own slot, which one loop then
+adds in block order; and, split by whole samples, the elementwise passes of
+ReLU, max pooling (the running maximum and hit mask) and BatchNorm
+(centring, scaling and shift), their gradients and the convolution bias. A
+pass goes to the pool only when it spans at least cores() * _BLOCK_BYTES
+bytes, so a clip's few segments mostly stay in one thread. In one thread
+stay the sums whose order is pinned (BatchNorm's channel sums and variance,
+the bias gradients), Dropout's random draws, Dense, Adadelta, and a
+one-channel input's kernel gradient, whose long thin GEMMs ran slower on two
+threads. No bit depends on the worker count: every element is computed by
+the same operations on the same operands whichever thread runs it, each
+block's GEMM is the call one thread makes, and every sum adds in its
+one-thread order. Threads overlap because numpy releases the GIL inside
+GEMMs, copies and ufuncs. The pool assumes one BLAS thread per worker
+(OPENBLAS_NUM_THREADS=1, as the benchmark sets); with OpenBLAS's default of
+a thread per core the two counts multiply. On one core no pool is made and
+no thread started, and a forked child drops the pool it inherits.
 
 Layers over few channels run along long rows, not loops as short as the
 channel count, with the bits of the plain forms: max pooling is a running
@@ -281,17 +281,19 @@ if hasattr(os, "register_at_fork"):
 
 
 def _deal(n, nbytes, fn):
-    """Run ``fn(i0, i1)`` over contiguous runs of ``range(n)`` and return
-    their results in order: one run per core, the first in the calling
-    thread and the rest on the pool, when the pass spans at least
-    cores() * _BLOCK_BYTES bytes; otherwise ``[fn(0, n)]`` in this thread.
+    """Run ``fn(i0, i1)`` over contiguous runs of ``range(n)``, a parallel
+    for: one run per core, the first in the calling thread and the rest on
+    the pool, when the pass spans at least cores() * _BLOCK_BYTES bytes;
+    otherwise ``fn(0, n)`` in this thread. Returns once every run is done,
+    re-raising the first error.
 
-    Runs must write disjoint outputs. What a run computes must not depend
-    on where the runs are cut; the caller combines the results in order.
+    Runs only write, each to its own outputs, and what a run writes must
+    not depend on where the runs are cut.
     """
     workers = cores()
     if workers < 2 or n < 2 or nbytes < workers * _BLOCK_BYTES:
-        return [fn(0, n)]
+        fn(0, n)
+        return
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -302,11 +304,12 @@ def _deal(n, nbytes, fn):
     cuts = [n * k // runs for k in range(runs + 1)]
     futures = [_pool.submit(fn, i0, i1) for i0, i1 in zip(cuts[1:-1], cuts[2:])]
     try:
-        first = fn(0, cuts[1])
+        fn(0, cuts[1])
     finally:
         for f in futures:  # no run may outlive the pass, even one that failed
             f.exception()
-    return [first, *(f.result() for f in futures)]
+    for f in futures:
+        f.result()
 
 
 def _patches(block, kh, kw):
@@ -405,27 +408,20 @@ class Conv2D(Layer):
         kernels = self._kernels4()
         cout, kh, kw, cin = kernels.shape
         gflat = gout.reshape(-1, cout)
-        gk = np.zeros((cout, kh * kw * cin), np.result_type(gout, x))
         blocks, nbytes = _conv_blocks(x, kh, kw)
         hw = x.shape[1] * x.shape[2]
+        prods = np.empty((len(blocks), cout, kh * kw * cin), np.result_type(gout, x))
 
         def products(b0, b1):
-            # the sum of one product per block, in block order: the first run
-            # adds its own as they come, the caller then adds the others'
-            out = []
-            for s0, s1 in blocks[b0:b1]:
-                prod = gflat[s0 * hw : s1 * hw].T @ _patches(x[s0:s1], kh, kw)
-                if b0 == 0:
-                    np.add(gk, prod, out=gk)
-                else:
-                    out.append(prod)
-            return out
+            for b, (s0, s1) in enumerate(blocks[b0:b1], b0):
+                np.matmul(gflat[s0 * hw : s1 * hw].T, _patches(x[s0:s1], kh, kw), out=prods[b])
 
         # one-channel (tap-major) patches stay in one thread: their long thin
         # GEMMs ran slower on two (cnn-v2-3's first layer, 130 -> 175 ms a step)
-        for run in _deal(len(blocks), 0 if cin == 1 else nbytes, products):
-            for prod in run:
-                gk += prod
+        _deal(len(blocks), 0 if cin == 1 else nbytes, products)
+        gk = np.zeros(prods.shape[1:], prods.dtype)
+        for prod in prods:  # the sum of one product per block, in block order
+            gk += prod
         self.kernels.grad = gk.reshape(self.kernels.value.shape)
         self.bias.grad = _channel_sums(gflat)
         if not self._input_grad:
@@ -832,11 +828,11 @@ class ModelGraph:
             missing = sorted(names - set(tensors))[:3]
             extra = sorted(set(tensors) - names)[:3]
             raise CheckpointError(f"state mismatch (missing {missing}, unexpected {extra})")
+        for name, arr in own:  # every shape checked before any array is written
+            if tensors[name].shape != arr.shape:
+                raise CheckpointError(f"{name}: shape {tensors[name].shape} != {arr.shape}")
         for name, arr in own:
-            new = tensors[name]
-            if new.shape != arr.shape:
-                raise CheckpointError(f"{name}: shape {new.shape} != {arr.shape}")
-            arr[...] = new
+            arr[...] = tensors[name]
 
     def seed_dropout(self, seed: int) -> None:
         streams = np.random.SeedSequence(seed).spawn(len(self.layers))

@@ -53,12 +53,13 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """Parse a tab-separated `relative/path<TAB>scene_label` file.
 
-    Labels outside the fixed 15-class vocabulary and duplicated paths are
-    rejected with the offending row number.
+    Labels outside the fixed 15-class vocabulary and rows naming a file an
+    earlier row named, by whatever spelling (the resolved path that
+    `cache_path` hashes), are rejected with the offending row number.
     """
     path = Path(path)
     entries = []
-    seen = set()
+    seen = {}  # resolved clip path -> its row
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -70,9 +71,10 @@ def load_manifest(path) -> DatasetManifest:
             clip, label = parts[0].strip(), parts[1].strip()
             if label not in CLASS_INDEX:
                 raise ValueError(f"{path}:{lineno}: unknown scene label {label!r}")
-            if clip in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate clip path {clip!r}")
-            seen.add(clip)
+            wav = (path.parent / clip).resolve()
+            if wav in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate of line {seen[wav]}: {clip!r}")
+            seen[wav] = lineno
             entries.append(ManifestEntry(clip, label))
     if not entries:
         log.warning("manifest %s is empty", path)
