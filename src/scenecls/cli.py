@@ -55,6 +55,8 @@ def cmd_extract(args) -> int:
             return str(exc)
 
     start = time.perf_counter()
+    # One worker stays in the calling thread: a one-thread pool in its place
+    # ran the benchmark's v1 extract rounds 5-19% slower in paired runs.
     if args.workers > 1 and len(stale) > 1:
         from concurrent.futures.thread import ThreadPoolExecutor
 

@@ -21,31 +21,31 @@ Convolutions are stride-1 with "same" zero padding, computed as im2col plus
 GEMM over blocks of whole samples of about _BLOCK_BYTES patch bytes each, so
 no patch matrix of the whole batch is ever built. `_block_bounds` cuts these
 blocks, and the front end's resampler and STFT blocks, by the one
-_BLOCK_BYTES. The forward pass writes each block's output rows, and how the
-batch is cut changes none of their bits; the kernel gradient sums one
-product per block; the input gradient is the same blocked convolution of the
-output gradient by the flipped, in/out-swapped kernels, and a ModelGraph's
-first layer skips it. A one-channel input builds its patches tap-major, in
-one copy along whole padded rows, and the GEMMs read them transposed. Max
-pooling windows equal their stride and drop trailing remainders. The 1-D
-layers are the width-1 2-D ones.
+_BLOCK_BYTES. The forward pass writes each block's output rows and adds the
+bias to them, and how the batch is cut changes none of their bits; the
+kernel gradient sums one product per block; the input gradient is the same
+blocked convolution of the output gradient by the flipped, in/out-swapped
+kernels, and a ModelGraph's first layer skips it. A one-channel input builds
+its patches tap-major, in one copy along whole padded rows, and the GEMMs
+read them transposed. Max pooling windows equal their stride and drop
+trailing remainders. The 1-D layers are the width-1 2-D ones.
 
 A pass over a batch is dealt out (`_deal`) in contiguous runs, one per core
 this process may run on (`cores`, its CPU affinity set): the first run in
 the calling thread, the others on a pool of threads made by the first pass
 that needs it. That covers the convolution's blocks, each GEMM writing its
-own output rows (the input gradient is such a convolution); the kernel
-gradient's per-block products, each into its own slot, which one loop then
-adds in block order; and, split by whole samples, the elementwise passes of
-ReLU, max pooling (the running maximum and hit mask) and BatchNorm
-(centring, scaling and shift), their gradients and the convolution bias. A
-pass goes to the pool only when it spans at least cores() * _BLOCK_BYTES
-bytes, so a clip's few segments mostly stay in one thread. In one thread
-stay the sums whose order is pinned (BatchNorm's channel sums and variance,
-the bias gradients), Dropout's random draws, Dense, Adadelta, and a
-one-channel input's kernel gradient, whose long thin GEMMs ran slower on two
-threads. No bit depends on the worker count: every element is computed by
-the same operations on the same operands whichever thread runs it, each
+own output rows, to which the run then adds the bias (the input gradient is
+such a convolution, without bias); the kernel gradient's per-block products,
+each into its own slot, which one loop then adds in block order; and, split
+by whole samples, the elementwise passes of ReLU, max pooling (the running
+maximum and hit mask) and BatchNorm (centring, scaling and shift) and their
+gradients. A pass goes to the pool only when it spans at least cores() *
+_BLOCK_BYTES bytes, so a clip's few segments mostly stay in one thread. In
+one thread stay the sums whose order is pinned (BatchNorm's channel sums and
+variance, the bias gradients), Dropout's random draws, Dense, Adadelta, and
+a one-channel input's kernel gradient, whose long thin GEMMs ran slower on
+two threads. No bit depends on the worker count: every element is computed
+by the same operations on the same operands whichever thread runs it, each
 block's GEMM is the call one thread makes, and every sum adds in its
 one-thread order. Threads overlap because numpy releases the GIL inside
 GEMMs, copies and ufuncs. The pool assumes one BLAS thread per worker
@@ -349,17 +349,23 @@ def _patch_blocks(x, kh, kw):
         yield slice(s0 * hw, s1 * hw), _patches(x[s0:s1], kh, kw)
 
 
-def _conv_same(x, kmat, kh, kw):
+def _conv_same(x, kmat, kh, kw, bias=None):
     """Same-padded stride-1 convolution of ``x`` (N, H, W, C) by ``kmat``
-    (kh*kw*C, out), without bias: one GEMM per batch block into its own
-    rows of the output, the blocks dealt out in runs (`_deal`)."""
+    (kh*kw*C, out), plus ``bias`` (out,) if given: one GEMM per batch block
+    into its own samples' rows of the output, the blocks dealt out in runs
+    (`_deal`). Each run then adds the bias to the samples it wrote, tiled
+    along each sample's row as in BatchNorm."""
     n, h, w = x.shape[:3]
     out = np.empty((n * h * w, kmat.shape[1]), np.result_type(x, kmat))
+    rows = out.reshape(n, -1)  # a row per sample
+    tbias = None if bias is None else np.tile(bias, h * w)
     blocks, nbytes = _conv_blocks(x, kh, kw)
 
     def gemms(b0, b1):
         for s0, s1 in blocks[b0:b1]:
             np.matmul(_patches(x[s0:s1], kh, kw), kmat, out=out[s0 * h * w : s1 * h * w])
+        if tbias is not None:
+            rows[blocks[b0][0] : blocks[b1 - 1][1]] += tbias
 
     _deal(len(blocks), nbytes, gemms)
     return out.reshape(n, h, w, -1)
@@ -374,8 +380,7 @@ class Conv2D(Layer):
                  rng: np.random.Generator | None = None, *, dtype=np.float64):
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("kernel dims must be odd for same padding")
-        self.kernels = Parameter(np.zeros(self._kernel_shape(out_channels, kh, kw, in_channels),
-                                          dtype))
+        self.kernels = Parameter(np.zeros((out_channels, kh, kw, in_channels), dtype))
         self.bias = Parameter(np.zeros(out_channels, dtype))
         self._x = None
         if rng is not None:
@@ -385,10 +390,6 @@ class Conv2D(Layer):
         cout, *taps, cin = self.kernels.value.shape
         self.kernels.glorot(rng, math.prod(taps) * cin, math.prod(taps) * cout)
 
-    @staticmethod
-    def _kernel_shape(cout, kh, kw, cin):
-        return (cout, kh, kw, cin)
-
     def _kernels4(self):  # (out, kh, kw, in); Conv1D views its (out, k, in) this way
         return self.kernels.value
 
@@ -397,11 +398,8 @@ class Conv2D(Layer):
         if x.ndim != 4 or x.shape[3] != cin:
             raise ValueError(f"conv2d expects (N,H,W,{cin}) input, got {x.shape}")
         self._x = x
-        out = _conv_same(x, self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout), kh, kw)
-        rows = out.reshape(len(out), -1)  # the bias tiled along each sample's row, as in BatchNorm
-        bias = np.tile(self.bias.value, rows.shape[1] // cout)
-        _deal(len(rows), rows.nbytes, lambda s0, s1: np.add(rows[s0:s1], bias, out=rows[s0:s1]))
-        return out
+        kmat = self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout)
+        return _conv_same(x, kmat, kh, kw, self.bias.value)
 
     def backward(self, gout):
         x = self._need_cache(self._x)
@@ -444,12 +442,9 @@ class Conv1D(Conv2D):
     def __init__(self, in_channels: int, out_channels: int, k: int,
                  rng: np.random.Generator | None = None, *, dtype=np.float64):
         super().__init__(in_channels, out_channels, k, 1, rng, dtype=dtype)
-
-    @staticmethod
-    def _kernel_shape(cout, kh, kw, cin):
-        # Conv2D's (out, k, 1, in) without its width axis: the same values in
-        # the same order, so the Glorot draws match the 4-D kernel's
-        return (cout, kh, cin)
+        # Conv2D's (out, k, 1, in) kernels in an array of their own without
+        # the width axis: the same values in the same order, Glorot draws too
+        self.kernels = Parameter(self.kernels.value[:, :, 0, :].copy())
 
     def _kernels4(self):
         return self.kernels.value[:, :, None, :]

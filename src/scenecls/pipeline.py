@@ -35,6 +35,7 @@ class TrainingDiverged(RuntimeError):
 class ManifestEntry:
     path: str
     label: str
+    wav: Path | None = None  # the resolved file, as `load_manifest` found it
 
     @property
     def label_index(self) -> int:
@@ -53,9 +54,11 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """Parse a tab-separated `relative/path<TAB>scene_label` file.
 
-    Labels outside the fixed 15-class vocabulary and rows naming a file an
-    earlier row named, by whatever spelling (the resolved path that
-    `cache_path` hashes), are rejected with the offending row number.
+    Labels outside the fixed 15-class vocabulary, paths with a comma (the
+    field separator of prediction dumps) and rows naming a file an earlier
+    row named, by whatever spelling (the resolved path that `cache_path`
+    hashes, kept as each entry's ``wav``), are rejected with the offending
+    row number.
     """
     path = Path(path)
     entries = []
@@ -71,11 +74,13 @@ def load_manifest(path) -> DatasetManifest:
             clip, label = parts[0].strip(), parts[1].strip()
             if label not in CLASS_INDEX:
                 raise ValueError(f"{path}:{lineno}: unknown scene label {label!r}")
+            if "," in clip:  # the field separator of prediction dumps
+                raise ValueError(f"{path}:{lineno}: comma in clip path {clip!r}")
             wav = (path.parent / clip).resolve()
             if wav in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate of line {seen[wav]}: {clip!r}")
             seen[wav] = lineno
-            entries.append(ManifestEntry(clip, label))
+            entries.append(ManifestEntry(clip, label, wav))
     if not entries:
         log.warning("manifest %s is empty", path)
     return DatasetManifest(tuple(entries), path.parent)
@@ -339,12 +344,19 @@ def train(graph: nn.ModelGraph, train_set: SegmentDataset, val_set: SegmentDatas
 def run_training(config: TrainConfig):
     """Config-driven entry: build model and datasets, fit, save artifacts.
 
-    Returns (graph, history, checkpoint path, history path).
+    Returns (graph, history, checkpoint path, history path). A file that
+    both manifests name, by whatever spelling, is an error before any clip
+    is read.
     """
+    train_list, val_list = load_manifest(config.train_manifest), load_manifest(config.val_manifest)
+    shared = {e.wav for e in train_list.entries} & {e.wav for e in val_list.entries}
+    if shared:
+        raise ValueError("files in both train and validation manifests: "
+                         + ", ".join(sorted(map(str, shared))[:3]))
     graph = models.build_model(config.model, seed=config.seed)
     cache = config.cache_dir or None
-    train_set = build_dataset(load_manifest(config.train_manifest), graph.variant, cache)
-    val_set = build_dataset(load_manifest(config.val_manifest), graph.variant, cache)
+    train_set = build_dataset(train_list, graph.variant, cache)
+    val_set = build_dataset(val_list, graph.variant, cache)
     history = train(graph, train_set, val_set, config)
 
     ckpt_dir = Path(config.checkpoint_dir)
