@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import atomic_path
+from . import nn
 
 CLASSES = (
     "beach", "bus", "cafe/restaurant", "car", "city_center",
@@ -44,8 +45,30 @@ def predict_clip(graph, segments: np.ndarray) -> np.ndarray:
 
 
 def predict_clips(graph, segments: np.ndarray) -> np.ndarray:
-    """`predict_clip` of each clip in (clips, n_segments, frames, mels): (clips, 15)."""
-    return np.stack([predict_clip(graph, clip) for clip in segments])
+    """`predict_clip` of each clip in (clips, n_segments, frames, mels): (clips, 15),
+    row i for clip i.
+
+    The clips are dealt out (`nn._deal`) in contiguous runs, one per core:
+    the first run in the calling thread on ``graph``, each other run on a
+    pool thread on its own `twin` of it. A clip's whole forward stays in
+    its run's thread, and every row has the bits a serial loop gives.
+    """
+    n = len(segments)
+    out = np.empty((n, N_CLASSES))
+    runs = max(1, min(nn.cores(), n))
+    graphs = [graph] + [graph.twin() for _ in range(runs - 1)]
+    cuts = [n * k // runs for k in range(runs + 1)]
+
+    def run(r0, r1):
+        for r in range(r0, r1):
+            for i in range(cuts[r], cuts[r + 1]):
+                # the module global, so a wrapper installed on it sees each clip
+                out[i] = predict_clip(graphs[r], segments[i])
+
+    # one clip is worth a thread whatever its size: the infinite byte count
+    # passes _deal's floor, and two runs or more go to the pool
+    nn._deal(runs, math.inf, run)
+    return out
 
 
 def ensemble_geomean(dists) -> np.ndarray:
@@ -199,7 +222,7 @@ def render_report(model_names, class_acc_columns, confusions=None):
 
 
 def write_text_atomic(path, text: str) -> None:
-    with atomic_path(path) as tmp:
+    with nn.atomic_path(path) as tmp:
         tmp.write_text(text)
 
 

@@ -15,7 +15,10 @@ rows sum to 1 within 1e-8.
 Spatial layout is channels-last: 2-D feature maps are (batch, height,
 width, channels), 1-D sequences are (batch, time, channels). Every layer
 implements an exact analytic backward pass; correctness is pinned by
-finite-difference tests rather than runtime checks.
+finite-difference tests rather than runtime checks. A layer's forward keeps
+on the layer what its backward reads; an eval forward through a ModelGraph
+drops that as soon as each layer is done (`_forget`), so inference holds no
+caches between calls.
 
 Convolutions are stride-1 with "same" zero padding, computed as im2col plus
 GEMM over blocks of whole samples of about _BLOCK_BYTES patch bytes each, so
@@ -40,7 +43,11 @@ each into its own slot, which one loop then adds in block order; and, split
 by whole samples, the elementwise passes of ReLU, max pooling (the running
 maximum and hit mask) and BatchNorm (centring, scaling and shift) and their
 gradients. A pass goes to the pool only when it spans at least cores() *
-_BLOCK_BYTES bytes, so a clip's few segments mostly stay in one thread. In
+_BLOCK_BYTES bytes, so a clip's few segments mostly stay in one thread. A
+dealt run deals nothing again: every pass inside it runs whole in the run's
+thread. `evaluation.predict_clips` deals whole clips that way, one run per
+core, each run on its own `ModelGraph.twin` (layers keep their caches on
+themselves), so each clip's forward stays in one thread. In
 one thread stay the sums whose order is pinned (BatchNorm's channel sums and
 variance, the bias gradients), Dropout's random draws, Dense, Adadelta, and
 a one-channel input's kernel gradient, whose long thin GEMMs ran slower on
@@ -63,6 +70,7 @@ the channel vector tiled to its length.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
@@ -279,6 +287,17 @@ def _forget_pool():
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
+# Set in a thread while it runs one of `_deal`'s runs.
+_in_run = threading.local()
+
+
+def _run(fn, i0, i1):
+    _in_run.on = True
+    try:
+        fn(i0, i1)
+    finally:
+        _in_run.on = False
+
 
 def _deal(n, nbytes, fn):
     """Run ``fn(i0, i1)`` over contiguous runs of ``range(n)``, a parallel
@@ -287,11 +306,15 @@ def _deal(n, nbytes, fn):
     otherwise ``fn(0, n)`` in this thread. Returns once every run is done,
     re-raising the first error.
 
+    A dealt run deals nothing again: called from inside one, in the calling
+    thread or on the pool, `_deal` runs ``fn(0, n)`` in that thread. So a
+    run on a pool thread never waits on the pool it occupies.
+
     Runs only write, each to its own outputs, and what a run writes must
     not depend on where the runs are cut.
     """
     workers = cores()
-    if workers < 2 or n < 2 or nbytes < workers * _BLOCK_BYTES:
+    if workers < 2 or n < 2 or nbytes < workers * _BLOCK_BYTES or getattr(_in_run, "on", False):
         fn(0, n)
         return
     global _pool
@@ -302,9 +325,9 @@ def _deal(n, nbytes, fn):
             _pool = ThreadPoolExecutor(workers - 1, "scenecls-nn")
     runs = min(workers, n)
     cuts = [n * k // runs for k in range(runs + 1)]
-    futures = [_pool.submit(fn, i0, i1) for i0, i1 in zip(cuts[1:-1], cuts[2:])]
+    futures = [_pool.submit(_run, fn, i0, i1) for i0, i1 in zip(cuts[1:-1], cuts[2:])]
     try:
-        fn(0, cuts[1])
+        _run(fn, 0, cuts[1])
     finally:
         for f in futures:  # no run may outlive the pass, even one that failed
             f.exception()
@@ -743,6 +766,20 @@ class Fire(Layer):
         return out
 
 
+# The attributes in which layers keep what their backward pass reads
+_CACHES = ("_x", "_mask", "_cache", "_shape", "_out")
+
+
+def _forget(layer) -> None:
+    """Drop what ``layer``, and each layer it holds (Fire's six), keeps for
+    its backward pass."""
+    for name, value in list(vars(layer).items()):
+        if name in _CACHES:
+            setattr(layer, name, None)
+        elif isinstance(value, Layer):
+            _forget(value)
+
+
 class ModelGraph:
     """An ordered layer stack bound to a feature variant and input shape."""
 
@@ -764,12 +801,29 @@ class ModelGraph:
                 p.name = f"{i:02d}.{layer.kind}.{local}"
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """The graph's output for ``x``. An eval forward drops each layer's
+        backward caches as soon as that layer is done, so inference holds
+        none between calls; call a layer directly to keep them."""
         x = np.asarray(x, dtype=self.dtype)
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"{self.name} expects input {self.input_shape}, got {x.shape[1:]}")
         for layer in self.layers:
             x = layer.forward(x, train)
+            if not train:
+                _forget(layer)
         return x
+
+    def twin(self) -> "ModelGraph":
+        """A copy that shares every parameter and running statistic with this
+        graph and keeps its own caches, so that two threads can run eval
+        forwards at once, one on each graph. Layers keep caches on
+        themselves (Softmax even returns its own), so one graph cannot serve
+        two threads. This graph's caches are dropped first, not copied."""
+        for layer in self.layers:
+            _forget(layer)
+        memo = {id(p): p for p in self.parameters()}
+        memo.update((id(arr), arr) for layer in self.layers for _, arr in layer.extra_state())
+        return copy.deepcopy(self, memo)
 
     def backward_from_logits(self, dlogits: np.ndarray) -> None:
         """Backpropagate a gradient taken w.r.t. the final softmax's input.
