@@ -64,10 +64,6 @@ class AudioClip:
     def length(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.length / self.sample_rate
-
     def mono(self) -> np.ndarray:
         if self.channels != 1:
             raise ValueError(f"expected mono clip, got {self.channels} channels")

@@ -41,16 +41,15 @@ def cmd_extract(args) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     variant = features.VARIANTS[args.variant]
     Path(args.cache).mkdir(parents=True, exist_ok=True)
-    wavs = [manifest.root / e.path for e in manifest.entries]
-    stale = [(e, wav) for e, wav in zip(manifest.entries, wavs)
-             if not pipeline.cache_hit(pipeline.cache_path(args.cache, wav, variant),
-                                       wav, variant)]
-    hits = len(wavs) - len(stale)
+    stale = [e for e in manifest.entries
+             if not pipeline.cache_hit(pipeline.cache_path(args.cache, e.wav, variant),
+                                       e.wav, variant)]
+    hits = len(manifest) - len(stale)
 
-    def extract_one(wav):
+    def extract_one(entry):
         """Returns an error message, or None on success."""
         try:
-            pipeline.clip_features(wav, variant, args.cache)
+            pipeline.clip_features(entry.wav, variant, args.cache)
         except Exception as exc:  # per-file isolation: report, keep going
             return str(exc)
 
@@ -61,12 +60,12 @@ def cmd_extract(args) -> int:
         from concurrent.futures.thread import ThreadPoolExecutor
 
         with ThreadPoolExecutor(args.workers, "scenecls-extract") as pool:
-            results = list(pool.map(extract_one, [wav for _, wav in stale]))
+            results = list(pool.map(extract_one, stale))
     else:
-        results = [extract_one(wav) for _, wav in stale]
+        results = [extract_one(e) for e in stale]
     seconds = time.perf_counter() - start
-    failures = [(e.path, err) for (e, _), err in zip(stale, results) if err is not None]
-    done = len(wavs) - len(failures)
+    failures = [(e.path, err) for e, err in zip(stale, results) if err is not None]
+    done = len(manifest) - len(failures)
     print(f"extracted features for {done} clips ({hits} already cached) -> {args.cache}")
     rate = len(stale) / seconds if seconds > 0 else 0.0
     print(f"{len(stale)} clips in {seconds:.2f} s ({rate:.1f} clips/s), {len(failures)} failed")

@@ -33,9 +33,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One manifest row, made only by `load_manifest`. ``path`` is the row's
+    own spelling: it names the clip in datasets, dumps and error prefixes.
+    ``wav`` is the file it resolves to: every later step opens that file and
+    keys its cache entry by it."""
+
     path: str
     label: str
-    wav: Path | None = None  # the resolved file, as `load_manifest` found it
+    wav: Path
 
     @property
     def label_index(self) -> int:
@@ -54,11 +59,12 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """Parse a tab-separated `relative/path<TAB>scene_label` file.
 
-    Labels outside the fixed 15-class vocabulary, paths with a comma (the
-    field separator of prediction dumps) and rows naming a file an earlier
-    row named, by whatever spelling (the resolved path that `cache_path`
-    hashes, kept as each entry's ``wav``), are rejected with the offending
-    row number.
+    Each row's path is resolved here, once, against the manifest's
+    directory and kept as its entry's ``wav``: the file that `extract` and
+    `build_dataset` open, and that names its cache entry. Labels outside
+    the fixed 15-class vocabulary, paths with a comma (the field separator
+    of prediction dumps) and rows naming a file an earlier row named, by
+    whatever spelling, are rejected with the offending row number.
     """
     path = Path(path)
     entries = []
@@ -211,19 +217,20 @@ def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelS
 def clip_features(wav_path, variant: features.FeatureVariant,
                   cache_dir=None) -> features.LogMelSpectrogram:
     """Fetch one clip's spectrogram, via the cache when ``cache_hit`` allows.
+    Opens ``wav_path`` as given (from a manifest, its entry's resolved
+    ``wav``), and its cache entry is the one `cache_path` names for it.
     Any other entry is a miss, extracted again and rewritten without being
     read; a hit that cannot be read is one too, with a warning. A hit holds
     ``variant``: an entry of its size loads as it or raises."""
-    wav = Path(wav_path)
     if cache_dir is None:
-        return extract_clip(wav, variant)
-    cpath = cache_path(cache_dir, wav, variant)
-    if cache_hit(cpath, wav, variant):
+        return extract_clip(wav_path, variant)
+    cpath = cache_path(cache_dir, wav_path, variant)
+    if cache_hit(cpath, wav_path, variant):
         try:
             return features.load_features(cpath)
         except ValueError as exc:
             log.warning("%s; extracting again", exc)
-    spec = extract_clip(wav, variant)
+    spec = extract_clip(wav_path, variant)
     cpath.parent.mkdir(parents=True, exist_ok=True)
     with nn.atomic_path(cpath) as tmp:
         features.save_features(tmp, spec)
@@ -234,7 +241,7 @@ def build_dataset(manifest: DatasetManifest, variant: features.FeatureVariant,
                   cache_dir=None) -> SegmentDataset:
     segs, labels, ids = [], [], []
     for entry in manifest.entries:
-        spec = clip_features(manifest.root / entry.path, variant, cache_dir)
+        spec = clip_features(entry.wav, variant, cache_dir)
         segs.append(features.segment(spec, entry.path).segments)
         labels.append(entry.label_index)
         ids.append(entry.path)
