@@ -236,7 +236,9 @@ def write_prediction_dump(path, clip_ids, true_labels, probs: np.ndarray) -> Non
 
 
 def read_prediction_dump(path):
-    """Parse a dump back into (clip_ids, true label indices, (n,15) probs)."""
+    """Parse a dump back into (clip_ids, true label indices, (n,15) probs).
+    A probability that is negative, infinite or NaN is an error naming its
+    line."""
     clip_ids, labels, rows = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -251,7 +253,11 @@ def read_prediction_dump(path):
             clip_ids.append(parts[0])
             labels.append(CLASS_INDEX[parts[1]])
             try:
-                rows.append([float(v) for v in parts[2:]])
+                row = [float(v) for v in parts[2:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            bad = [v for v in row if not 0.0 <= v < math.inf]  # NaN fails too
+            if bad:
+                raise ValueError(f"{path}:{lineno}: probability {bad[0]} is negative or not finite")
+            rows.append(row)
     return clip_ids, np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)

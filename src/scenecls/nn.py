@@ -20,6 +20,12 @@ on the layer what its backward reads; an eval forward through a ModelGraph
 drops that as soon as each layer is done (`_forget`), so inference holds no
 caches between calls.
 
+A Layer subclass declares only what differs from `Layer`: its Parameter
+attributes, set in checkpoint order; its sublayers, as attributes (Fire's
+three convolutions); and what its backward reads, kept under a `_CACHES`
+name that `Layer` sets to None. `Layer.named_params` and `init_params`
+walk those attributes, so no kind lists its parameters or sublayers again.
+
 Convolutions are stride-1 with "same" zero padding, computed as im2col plus
 GEMM over blocks of whole samples of about _BLOCK_BYTES patch bytes each, so
 no patch matrix of the whole batch is ever built. `_block_bounds` cuts these
@@ -121,10 +127,14 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 
 
 class Layer:
+    """The base of every layer kind; the module docstring says what a kind
+    declares and what it gets from here."""
+
     kind = "layer"
     # ModelGraph clears this on its first layer, whose input gradient nothing
     # reads; a layer that can then skip computing it returns None instead.
     _input_grad = True
+    _x = _mask = _cache = _shape = _out = None  # no forward has run yet
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -133,11 +143,20 @@ class Layer:
         raise NotImplementedError
 
     def named_params(self):
-        return []
+        """Each Parameter attribute in the order the constructor set it, then
+        each sublayer's as ``"<attribute>.<name>"``: the checkpoint's names."""
+        attrs = vars(self).items()
+        return ([(name, v) for name, v in attrs if isinstance(v, Parameter)]
+                + [(f"{name}.{local}", p) for name, v in attrs if isinstance(v, Layer)
+                   for local, p in v.named_params()])
 
     def init_params(self, rng: np.random.Generator) -> None:
         """Draw the layer's Glorot weights from ``rng`` (they are zero until
-        then); a layer without weights draws nothing."""
+        then): a composite draws its sublayers', in attribute order, from the
+        one stream; a layer without weights draws nothing."""
+        for v in vars(self).values():
+            if isinstance(v, Layer):
+                v.init_params(rng)
 
     def extra_state(self):
         """Non-trainable tensors that belong in checkpoints (running stats),
@@ -152,9 +171,6 @@ class Layer:
 
 class ReLU(Layer):
     kind = "relu"
-
-    def __init__(self):
-        self._mask = None
 
     def forward(self, x, train=False):
         mask = self._mask = np.empty(x.shape, bool)
@@ -181,9 +197,6 @@ class ReLU(Layer):
 class Flatten(Layer):
     kind = "flatten"
 
-    def __init__(self):
-        self._shape = None
-
     def forward(self, x, train=False):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -201,7 +214,6 @@ class Dense(Layer):
                  *, dtype=np.float64):
         self.weights = Parameter(np.zeros((units, in_features), dtype))
         self.bias = Parameter(np.zeros(units, dtype))
-        self._x = None
         if rng is not None:
             self.init_params(rng)
 
@@ -222,9 +234,6 @@ class Dense(Layer):
         self.weights.grad = gout.T @ x
         self.bias.grad = gout.sum(axis=0)
         return gout @ self.weights.value
-
-    def named_params(self):
-        return [("weights", self.weights), ("bias", self.bias)]
 
 
 def _channel_sums(a2):
@@ -405,7 +414,6 @@ class Conv2D(Layer):
             raise ValueError("kernel dims must be odd for same padding")
         self.kernels = Parameter(np.zeros((out_channels, kh, kw, in_channels), dtype))
         self.bias = Parameter(np.zeros(out_channels, dtype))
-        self._x = None
         if rng is not None:
             self.init_params(rng)
 
@@ -452,9 +460,6 @@ class Conv2D(Layer):
         flipped = kernels[:, ::-1, ::-1, :].transpose(1, 2, 0, 3).reshape(-1, cin)
         return _conv_same(gout, flipped, kh, kw)
 
-    def named_params(self):
-        return [("kernels", self.kernels), ("bias", self.bias)]
-
 
 class Conv1D(Conv2D):
     """Stride-1 same-padded 1-D convolution over time; kernels (out, k, in).
@@ -500,7 +505,6 @@ class BatchNorm(Layer):
         self.shift = Parameter(np.zeros(channels, dtype))
         self.running_mean = np.zeros(channels, dtype)
         self.running_var = np.ones(channels, dtype)
-        self._cache = None
 
     def forward(self, x, train=False):
         if x.shape[0] == 0:
@@ -576,9 +580,6 @@ class BatchNorm(Layer):
         _deal(len(rows), rows.nbytes, run)
         return gx.reshape(gout.shape)
 
-    def named_params(self):
-        return [("gain", self.gain), ("shift", self.shift)]
-
     def extra_state(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
@@ -591,7 +592,6 @@ class MaxPool2D(Layer):
 
     def __init__(self, ph: int, pw: int):
         self.ph, self.pw = ph, pw
-        self._cache = None
 
     def _windows(self, a, h2, w2):
         """A view of ``a``'s pooled region as (N, H2, ph, W2, pw, C)."""
@@ -660,9 +660,6 @@ class MaxPool1D(MaxPool2D):
 class GlobalAvgPool(Layer):
     kind = "globalavgpool"
 
-    def __init__(self):
-        self._shape = None
-
     def forward(self, x, train=False):
         self._shape = x.shape
         return x.mean(axis=tuple(range(1, x.ndim - 1)))
@@ -684,7 +681,6 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.rng = rng  # None: np.random.default_rng(0), made by the first training forward
-        self._mask = None
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
@@ -705,9 +701,6 @@ class Softmax(Layer):
     """Max-subtracted softmax over the last axis."""
 
     kind = "softmax"
-
-    def __init__(self):
-        self._out = None
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -741,10 +734,6 @@ class Fire(Layer):
         if rng is not None:
             self.init_params(rng)
 
-    def init_params(self, rng):
-        for conv in (self.squeeze, self.expand1, self.expand3):
-            conv.init_params(rng)
-
     def forward(self, x, train=False):
         s = self._relu_sq.forward(self.squeeze.forward(x, train), train)
         a = self._relu_e1.forward(self.expand1.forward(s, train), train)
@@ -757,13 +746,6 @@ class Fire(Layer):
         gb = self._relu_e3.backward(gout[..., e:])
         gs = self.expand1.backward(ga) + self.expand3.backward(gb)
         return self.squeeze.backward(self._relu_sq.backward(gs))
-
-    def named_params(self):
-        out = []
-        for sub, conv in (("squeeze", self.squeeze), ("expand1", self.expand1),
-                          ("expand3", self.expand3)):
-            out += [(f"{sub}.{n}", p) for n, p in conv.named_params()]
-        return out
 
 
 # The attributes in which layers keep what their backward pass reads

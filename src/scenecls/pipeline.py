@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +62,10 @@ def load_manifest(path) -> DatasetManifest:
     Each row's path is resolved here, once, against the manifest's
     directory and kept as its entry's ``wav``: the file that `extract` and
     `build_dataset` open, and that names its cache entry. Labels outside
-    the fixed 15-class vocabulary, paths with a comma (the field separator
-    of prediction dumps) and rows naming a file an earlier row named, by
-    whatever spelling, are rejected with the offending row number.
+    the fixed 15-class vocabulary, empty paths, paths with a comma (the
+    field separator of prediction dumps) and rows naming a file an earlier
+    row named, by whatever spelling, are rejected with the offending row
+    number.
     """
     path = Path(path)
     entries = []
@@ -78,6 +79,8 @@ def load_manifest(path) -> DatasetManifest:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected `path<TAB>label`, got {line!r}")
             clip, label = parts[0].strip(), parts[1].strip()
+            if not clip:  # would resolve to the manifest's own directory
+                raise ValueError(f"{path}:{lineno}: empty clip path")
             if label not in CLASS_INDEX:
                 raise ValueError(f"{path}:{lineno}: unknown scene label {label!r}")
             if "," in clip:  # the field separator of prediction dumps
@@ -116,11 +119,14 @@ class TrainConfig:
 
 
 _INT_KEYS = {"batch_size", "epochs", "seed"}
+# TrainConfig's fields, and the feature variant the model must use
+_KEYS = {f.name for f in fields(TrainConfig)} | {"variant"}
 
 
 def parse_config(path) -> TrainConfig:
-    """Read a key=value config file; # starts a comment. Adadelta's constants are fixed."""
-    values = {}
+    """Read a key=value config file; # starts a comment. Adadelta's constants
+    are fixed. An unknown key, or one set twice, is an error naming its line."""
+    values, first = {}, {}  # key -> its value, and the line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -129,6 +135,11 @@ def parse_config(path) -> TrainConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (t.strip() for t in line.split("=", 1))
+            if key not in _KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: {key} already set on line {first[key]}")
+            first[key] = lineno
             try:
                 values[key] = int(value) if key in _INT_KEYS else value
             except ValueError:
