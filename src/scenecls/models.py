@@ -2,11 +2,17 @@
 
 A model is its spec text: a header naming the model, its feature variant
 and its per-segment input shape, then one line per layer (``conv2d 16 7 7``,
-``fire 16 64``, ``dense 512``, ...). One loop builds layers from that text:
-its shape pass gives each layer its input channels and fan-in from the
-lines before it and allocates the layer's parameters, and the graph keeps
-the text. `parse_model_spec` then runs the init pass, Glorot draws from one
-seeded stream in layer order, for a float64 graph; `load_model` allocates
+``fire 16 64``, ``dense 512``, ...). One table, `_KINDS`, holds all the
+grammar knows of a layer kind: the types of the numbers its line takes, and
+the function that turns (input shape, dtype, numbers) into the layer and
+its output shape. Every layer line takes exactly its kind's numbers; one
+too many or too few, or one its type cannot read, is a ValueError naming
+the line. One loop with no branch on any kind builds the graph from that
+table: its shape pass gives each layer its input channels and fan-in from
+the lines before it and allocates the layer's parameters, and the graph
+keeps the text. `parse_model_spec` then runs the init pass, each layer's
+`nn.Layer.init_params` drawing Glorot weights from one seeded stream in
+layer order, for a float64 graph; `load_model` allocates
 in float32 instead and reads every tensor from the checkpoint straight into
 its array, drawing nothing. Checkpoints embed the text as it was parsed, so
 this module alone writes and reads the grammar.
@@ -49,25 +55,25 @@ def _dense_head(dropout_rate: float, dense_units: int) -> list:
             f"dense {N_CLASSES}", "softmax"]
 
 
-def _spec_text(name: str, variant_id: str, input_shape, layer_lines) -> str:
-    lines = [f"name {name}", f"variant {variant_id}",
-             "input " + " ".join(str(d) for d in input_shape), *layer_lines]
-    return "\n".join(lines) + "\n"
+def _spec_graph(name: str, variant: FeatureVariant, input_shape, layers, seed: int):
+    """`parse_model_spec` at ``seed`` of the header these arguments write
+    followed by the layer lines ``layers``."""
+    lines = [f"name {name}", f"variant {variant.id}",
+             "input " + " ".join(str(d) for d in input_shape), *layers]
+    return parse_model_spec("\n".join(lines) + "\n", seed)
 
 
 def build_lenet(kernel_size: int, variant: FeatureVariant, *, seed: int = 0,
                 base_filters: int = 8, dense_units: int = 512,
                 dropout_rate: float = 0.5, name: str | None = None) -> nn.ModelGraph:
     """Three Conv-BN-ReLU blocks with doubling filters, two 3x2 max pools,
-    then Dropout, Dense(dense_units)+ReLU, Dense(15), Softmax."""
-    if kernel_size % 2 == 0:
-        raise ValueError("kernel size must be odd")
+    then Dropout, Dense(dense_units)+ReLU, Dense(15), Softmax. An even
+    kernel size is a ValueError from the spec's conv2d lines."""
     k, f = kernel_size, base_filters
     layers = _conv_blocks([f"conv2d {n} {k} {k}" for n in (f, 2 * f, 4 * f)], "maxpool2d 3 2")
     layers += _dense_head(dropout_rate, dense_units)
-    text = _spec_text(name or f"lenet-{k}x{k}-{variant.id}", variant.id,
-                      (variant.segment_frames, variant.n_mels, 1), layers)
-    return parse_model_spec(text, seed)
+    return _spec_graph(name or f"lenet-{k}x{k}-{variant.id}", variant,
+                       (variant.segment_frames, variant.n_mels, 1), layers, seed)
 
 
 def build_squeezenet_mini(variant: FeatureVariant = V1, *, seed: int = 0,
@@ -85,9 +91,8 @@ def build_squeezenet_mini(variant: FeatureVariant = V1, *, seed: int = 0,
         layers += (["maxpool2d 2 2"] if i % 2 == 0 else []) + [f"fire {ch(squeeze)} {ch(expand)}"]
     layers += [f"dropout {float(dropout_rate)!r}", f"conv2d {N_CLASSES} 1 1", "batchnorm",
                "relu", "globalavgpool", "softmax"]
-    text = _spec_text(name or f"squeezenet-{variant.id}", variant.id,
-                      (variant.segment_frames, variant.n_mels, 1), layers)
-    return parse_model_spec(text, seed)
+    return _spec_graph(name or f"squeezenet-{variant.id}", variant,
+                       (variant.segment_frames, variant.n_mels, 1), layers, seed)
 
 
 def build_cnn1d(variant: FeatureVariant = V1, *, seed: int = 0, width: float = 1.0,
@@ -100,9 +105,8 @@ def build_cnn1d(variant: FeatureVariant = V1, *, seed: int = 0, width: float = 1
 
     layers = _conv_blocks([f"conv1d {ch(n)} 5" for n in (64, 128, 256)], "maxpool1d 3")
     layers += _dense_head(dropout_rate, dense_units)
-    text = _spec_text(name or f"cnn1d-{variant.id}", variant.id,
-                      (variant.segment_frames, variant.n_mels), layers)
-    return parse_model_spec(text, seed)
+    return _spec_graph(name or f"cnn1d-{variant.id}", variant,
+                       (variant.segment_frames, variant.n_mels), layers, seed)
 
 
 # Registry: each model's feature variant and the builder call that makes it.
@@ -151,10 +155,37 @@ def format_model_spec(graph: nn.ModelGraph) -> str:
     return graph.spec_text
 
 
+# The spec grammar's layer kinds. A layer line is its kind and exactly the
+# numbers its entry's types read; the entry's function takes (input shape,
+# dtype, numbers) to (layer, output shape), so each layer gets its input
+# channels and fan-in from the lines before it.
+_KINDS = {
+    "conv2d": ((int, int, int), lambda shape, dtype, cout, kh, kw: (
+        nn.Conv2D(shape[2], cout, kh, kw, dtype=dtype), (shape[0], shape[1], cout))),
+    "conv1d": ((int, int), lambda shape, dtype, cout, k: (
+        nn.Conv1D(shape[1], cout, k, dtype=dtype), (shape[0], cout))),
+    "batchnorm": ((), lambda shape, dtype: (nn.BatchNorm(shape[-1], dtype=dtype), shape)),
+    "relu": ((), lambda shape, dtype: (nn.ReLU(), shape)),
+    "maxpool2d": ((int, int), lambda shape, dtype, ph, pw: (
+        nn.MaxPool2D(ph, pw), (shape[0] // ph, shape[1] // pw, shape[2]))),
+    "maxpool1d": ((int,), lambda shape, dtype, p: (nn.MaxPool1D(p), (shape[0] // p, shape[1]))),
+    "globalavgpool": ((), lambda shape, dtype: (nn.GlobalAvgPool(), (shape[-1],))),
+    "dropout": ((float,), lambda shape, dtype, rate: (nn.Dropout(rate), shape)),
+    "flatten": ((), lambda shape, dtype: (nn.Flatten(), (int(np.prod(shape)),))),
+    "dense": ((int,), lambda shape, dtype, units: (
+        nn.Dense(shape[0], units, dtype=dtype), (units,))),
+    "softmax": ((), lambda shape, dtype: (nn.Softmax(), shape)),
+    "fire": ((int, int), lambda shape, dtype, squeeze, expand: (
+        nn.Fire(shape[2], squeeze, expand, dtype=dtype), (shape[0], shape[1], 2 * expand))),
+}
+
+
 def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
-    """The shape pass: one layer per spec line, each given its input channels
-    and fan-in by the lines before it, with its parameters allocated once in
-    ``dtype`` and nothing drawn (weights zero). The graph keeps the text."""
+    """The shape pass: one layer per spec line, made by its kind's `_KINDS`
+    entry, with its parameters allocated once in ``dtype`` and nothing drawn
+    (weights zero). The graph keeps the text. A line whose numbers are too
+    many, too few, unreadable by their types or refused by its layer is a
+    ValueError naming the line; an unknown kind is a CheckpointError."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 4 or not lines[0].startswith("name ") \
             or not lines[1].startswith("variant ") or not lines[2].startswith("input "):
@@ -163,54 +194,23 @@ def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
     variant_id = lines[1].split()[1]
     if variant_id not in VARIANTS:
         raise nn.CheckpointError(f"unknown variant {variant_id!r}")
-    variant = VARIANTS[variant_id]
     input_shape = tuple(int(t) for t in lines[2].split()[1:])
 
     shape = input_shape
     layers = []
     for ln in lines[3:]:
         kind, *args = ln.split()
-        if kind == "conv2d":
-            cout, kh, kw = map(int, args)
-            layers.append(nn.Conv2D(shape[2], cout, kh, kw, dtype=dtype))
-            shape = (shape[0], shape[1], cout)
-        elif kind == "conv1d":
-            cout, k = map(int, args)
-            layers.append(nn.Conv1D(shape[1], cout, k, dtype=dtype))
-            shape = (shape[0], cout)
-        elif kind == "batchnorm":
-            layers.append(nn.BatchNorm(shape[-1], dtype=dtype))
-        elif kind == "relu":
-            layers.append(nn.ReLU())
-        elif kind == "maxpool2d":
-            ph, pw = map(int, args)
-            layers.append(nn.MaxPool2D(ph, pw))
-            shape = (shape[0] // ph, shape[1] // pw, shape[2])
-        elif kind == "maxpool1d":
-            (p,) = map(int, args)
-            layers.append(nn.MaxPool1D(p))
-            shape = (shape[0] // p, shape[1])
-        elif kind == "globalavgpool":
-            layers.append(nn.GlobalAvgPool())
-            shape = (shape[-1],)
-        elif kind == "dropout":
-            layers.append(nn.Dropout(float(args[0])))
-        elif kind == "flatten":
-            layers.append(nn.Flatten())
-            shape = (int(np.prod(shape)),)
-        elif kind == "dense":
-            units = int(args[0])
-            layers.append(nn.Dense(shape[0], units, dtype=dtype))
-            shape = (units,)
-        elif kind == "softmax":
-            layers.append(nn.Softmax())
-        elif kind == "fire":
-            sq, ex = map(int, args)
-            layers.append(nn.Fire(shape[2], sq, ex, dtype=dtype))
-            shape = (shape[0], shape[1], 2 * ex)
-        else:
+        if kind not in _KINDS:
             raise nn.CheckpointError(f"unknown layer kind {kind!r} in model spec")
-    graph = nn.ModelGraph(name, layers, input_shape, variant)
+        types, make = _KINDS[kind]
+        try:
+            if len(args) != len(types):
+                raise ValueError(f"{kind} takes {len(types)} numbers, got {len(args)}")
+            layer, shape = make(shape, dtype, *(read(arg) for read, arg in zip(types, args)))
+        except ValueError as exc:
+            raise ValueError(f"spec line {ln!r}: {exc}") from None
+        layers.append(layer)
+    graph = nn.ModelGraph(name, layers, input_shape, VARIANTS[variant_id])
     graph.spec_text = "\n".join(lines) + "\n"
     return graph
 
@@ -236,5 +236,4 @@ def load_model(path) -> nn.ModelGraph:
     One walk over the file: the spec's shape pass allocates every tensor in
     float32, and each stored tensor, found by name, is read straight into its
     array. Nothing is drawn, widened, cast or copied twice."""
-    graph, _ = nn._walk_checkpoint(path, lambda text: _build_from_spec(text, np.float32))
-    return graph
+    return nn._walk_checkpoint(path, lambda text: _build_from_spec(text, np.float32))[0]

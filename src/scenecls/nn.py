@@ -2,8 +2,8 @@
 
 Tensors are C-contiguous ndarrays in their ModelGraph's ``dtype``, the one
 its layers were built in. A layer with parameters allocates them once, as
-zeros in its ``dtype`` (float64 unless told otherwise); `init_params`, or an
-``rng`` given to the constructor, then draws its Glorot weights in float64.
+zeros in its ``dtype`` (float64 unless told otherwise); `Layer.init_params`,
+or an ``rng`` given to the constructor, then draws its weights in float64.
 Graphs built by `models.build_model`, `models.parse_model_spec` or directly
 are float64, and the finite-difference and oracle tests run on that.
 Float32 is the one precision that training, inference and checkpoints use:
@@ -25,6 +25,11 @@ attributes, set in checkpoint order; its sublayers, as attributes (Fire's
 three convolutions); and what its backward reads, kept under a `_CACHES`
 name that `Layer` sets to None. `Layer.named_params` and `init_params`
 walk those attributes, so no kind lists its parameters or sublayers again.
+`init_params` draws every weight, a Parameter of two or more axes shaped
+(out, ..., in), as Glorot-uniform with fans taken from its shape: fan-in
+prod(shape[1:]), fan-out prod(shape[:-1]). That is (in, units) for Dense
+and (taps * cin, taps * cout) for the convolutions; biases, gains and
+shifts are not drawn, so no kind writes an init rule of its own.
 
 Convolutions are stride-1 with "same" zero padding, computed as im2col plus
 GEMM over blocks of whole samples of about _BLOCK_BYTES patch bytes each, so
@@ -114,12 +119,6 @@ class Parameter:
         self.eg2 = np.zeros(self.value.shape, self.value.dtype)   # running E[g^2]
         self.edx2 = np.zeros(self.value.shape, self.value.dtype)  # running E[dx^2]
 
-    def glorot(self, rng: np.random.Generator, fan_in: int, fan_out: int) -> None:
-        """Replace the value by Glorot-uniform draws from ``rng``, drawn in
-        float64 and kept in the value's dtype."""
-        self.value = glorot_uniform(rng, self.value.shape, fan_in, fan_out).astype(
-            self.value.dtype, copy=False)
-
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -151,12 +150,16 @@ class Layer:
                    for local, p in v.named_params()])
 
     def init_params(self, rng: np.random.Generator) -> None:
-        """Draw the layer's Glorot weights from ``rng`` (they are zero until
-        then): a composite draws its sublayers', in attribute order, from the
-        one stream; a layer without weights draws nothing."""
-        for v in vars(self).values():
-            if isinstance(v, Layer):
-                v.init_params(rng)
+        """Draw every weight from ``rng`` (they are zero until then), in
+        `named_params` order from the one stream. A weight is a Parameter of
+        two or more axes, shaped (out, ..., in); it gets Glorot-uniform draws
+        in float64 with fan-in prod(shape[1:]) and fan-out prod(shape[:-1]),
+        kept in its dtype. Biases, gains and shifts keep their values."""
+        for _, p in self.named_params():
+            if p.value.ndim >= 2:
+                shape = p.value.shape
+                p.value = glorot_uniform(rng, shape, math.prod(shape[1:]),
+                                         math.prod(shape[:-1])).astype(p.value.dtype, copy=False)
 
     def extra_state(self):
         """Non-trainable tensors that belong in checkpoints (running stats),
@@ -216,10 +219,6 @@ class Dense(Layer):
         self.bias = Parameter(np.zeros(units, dtype))
         if rng is not None:
             self.init_params(rng)
-
-    def init_params(self, rng):
-        units, in_features = self.weights.value.shape
-        self.weights.glorot(rng, in_features, units)
 
     def forward(self, x, train=False):
         if x.shape[1] != self.weights.value.shape[1]:
@@ -416,10 +415,6 @@ class Conv2D(Layer):
         self.bias = Parameter(np.zeros(out_channels, dtype))
         if rng is not None:
             self.init_params(rng)
-
-    def init_params(self, rng):
-        cout, *taps, cin = self.kernels.value.shape
-        self.kernels.glorot(rng, math.prod(taps) * cin, math.prod(taps) * cout)
 
     def _kernels4(self):  # (out, kh, kw, in); Conv1D views its (out, k, in) this way
         return self.kernels.value
@@ -741,6 +736,7 @@ class Fire(Layer):
         return np.concatenate([a, b], axis=-1)
 
     def backward(self, gout):
+        self._need_cache(self._relu_e1._mask)  # a backward before forward names fire
         e = self.expand_ch
         ga = self._relu_e1.backward(gout[..., :e])
         gb = self._relu_e3.backward(gout[..., e:])

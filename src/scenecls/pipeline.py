@@ -364,7 +364,7 @@ def run_training(config: TrainConfig):
 
     Returns (graph, history, checkpoint path, history path). A file that
     both manifests name, by whatever spelling, is an error before any clip
-    is read.
+    is read; two files that one spelling names beside each manifest are not.
     """
     train_list, val_list = load_manifest(config.train_manifest), load_manifest(config.val_manifest)
     shared = {e.wav for e in train_list.entries} & {e.wav for e in val_list.entries}
@@ -375,6 +375,11 @@ def run_training(config: TrainConfig):
     cache = config.cache_dir or None
     train_set = build_dataset(train_list, graph.variant, cache)
     val_set = build_dataset(val_list, graph.variant, cache)
+    # `train` checks the two sets' clip ids for overlap; here they are the
+    # resolved files found disjoint above, since two manifests may each name
+    # a different file by one spelling
+    for dataset, manifest in ((train_set, train_list), (val_set, val_list)):
+        dataset.clip_ids = [str(entry.wav) for entry in manifest.entries]
     history = train(graph, train_set, val_set, config)
 
     ckpt_dir = Path(config.checkpoint_dir)

@@ -3,6 +3,8 @@ commits that should compute the same bits can be compared by diffing this
 script's output at each.
 
 Per model, at the given seed (default 0):
+  init   the float64 state tensors of `models.build_model`, before any
+         cast: the values `nn.Layer.init_params` drew, exactly
   state  the float32 state tensors after `models.build_model`
   step   one seeded batch-32 float32 train step: the probabilities, then
          every parameter's gradient
@@ -32,6 +34,7 @@ def digest(*arrays) -> str:
 
 def model_line(name: str, seed: int, scratch: Path) -> str:
     graph = models.build_model(name, seed=seed)
+    init = digest(*(arr for _, arr in graph.state_tensors()))
     graph.cast(np.float32)
     state = digest(*(arr for _, arr in graph.state_tensors()))
 
@@ -50,7 +53,7 @@ def model_line(name: str, seed: int, scratch: Path) -> str:
     v = graph.variant
     clip = rng.standard_normal((v.n_segments, v.segment_frames, v.n_mels)).astype(np.float32)
     row = digest(evaluation.predict_clip(models.load_model(path), clip))
-    return f"{name:<11} state={state} step={step} ckpt={ckpt} row={row}"
+    return f"{name:<11} init={init} state={state} step={step} ckpt={ckpt} row={row}"
 
 
 def main(argv) -> int:
