@@ -30,6 +30,14 @@ from .nn import _BLOCK_BYTES, _block_bounds
 KAISER_BETA = 8.6
 SINC_ZERO_CROSSINGS = 64
 
+# The largest filter `resample` designs, in bytes: 2*SINC_ZERO_CROSSINGS*down
+# + 1 float64 taps, so down <= 16383, and a cold design and layout of the
+# largest peaks at about 175 MiB. Any ratio between standard rates from 8 to
+# 192 kHz needs at most 0.5 MiB (down 441), and 16001 -> 16000 Hz 15.6 MiB.
+# Past the bound lie the rates a damaged header gives: one flipped byte of
+# 44100 asks for 818 MiB, and a 32-bit rate for up to 4 TiB.
+_MAX_FILTER_BYTES = 16 << 20
+
 # Resampler evaluation: every GEMM has about this many output columns at
 # least. Input windows are copied in blocks of nn._BLOCK_BYTES at most.
 _MIN_PHASES = 64
@@ -222,6 +230,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     directly; only the rows whose window crosses either end read a
     zero-padded copy of the span they cover, so no padded copy of the whole
     input is made and a warm call allocates about its output plus one block.
+    A ratio whose filter would exceed _MAX_FILTER_BYTES is an
+    UnsupportedWavError naming both rates.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -233,8 +243,11 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
         return clip
 
     g = gcd(clip.sample_rate, target_rate)
-    phases, stride, first, width, groups = _polyphase_layout(
-        target_rate // g, clip.sample_rate // g)
+    up, down = target_rate // g, clip.sample_rate // g
+    if (2 * SINC_ZERO_CROSSINGS * down + 1) * 8 > _MAX_FILTER_BYTES:
+        raise UnsupportedWavError(f"sample rate {clip.sample_rate} Hz: resampling to {target_rate}"
+                                  f" Hz needs a filter over {_MAX_FILTER_BYTES >> 20} MiB")
+    phases, stride, first, width, groups = _polyphase_layout(up, down)
     n_out = int(round(clip.length * target_rate / clip.sample_rate))
     if n_out == 0:
         return AudioClip(np.zeros((1, 0)), target_rate)

@@ -3,19 +3,20 @@
 A model is its spec text: a header naming the model, its feature variant
 and its per-segment input shape, then one line per layer (``conv2d 16 7 7``,
 ``fire 16 64``, ``dense 512``, ...). One table, `_KINDS`, holds all the
-grammar knows of a layer kind: the types of the numbers its line takes, and
-the function that turns (input shape, dtype, numbers) into the layer and
-its output shape. Every layer line takes exactly its kind's numbers; one
-too many or too few, or one its type cannot read, is a ValueError naming
-the line. One loop with no branch on any kind builds the graph from that
-table: its shape pass gives each layer its input channels and fan-in from
-the lines before it and allocates the layer's parameters, and the graph
-keeps the text. `parse_model_spec` then runs the init pass, each layer's
-`nn.Layer.init_params` drawing Glorot weights from one seeded stream in
-layer order, for a float64 graph; `load_model` allocates
-in float32 instead and reads every tensor from the checkpoint straight into
-its array, drawing nothing. Checkpoints embed the text as it was parsed, so
-this module alone writes and reads the grammar.
+grammar knows of a layer kind: the rank of the input shape it accepts, the
+types of the numbers its line takes, and the function that turns (input
+shape, dtype, numbers) into the layer and its output shape. Every layer
+line takes exactly its kind's numbers and an input of its kind's rank; one
+number too many or too few, one its type cannot read, or an input of
+another rank is a ValueError naming the line. One loop with no branch on
+any kind builds the graph from that table: its shape pass gives each layer
+its input channels and fan-in from the lines before it and allocates the
+layer's parameters, and the graph keeps the text. `parse_model_spec`
+then runs the init pass, each layer's `nn.Layer.init_params` drawing
+Glorot weights from one seeded stream in layer order, for a float64 graph;
+`load_model` allocates in float32 instead and reads every tensor from the
+checkpoint straight into its array, drawing nothing. Checkpoints embed the
+text as it was parsed, so this module alone writes and reads the grammar.
 
 The builders below only write spec lines. Registry names bind a builder
 call to the feature variant it consumes:
@@ -155,27 +156,29 @@ def format_model_spec(graph: nn.ModelGraph) -> str:
     return graph.spec_text
 
 
-# The spec grammar's layer kinds. A layer line is its kind and exactly the
-# numbers its entry's types read; the entry's function takes (input shape,
-# dtype, numbers) to (layer, output shape), so each layer gets its input
-# channels and fan-in from the lines before it.
+# The spec grammar's layer kinds. An entry is the rank of the per-sample
+# input shape the kind accepts (None: any), the types of the numbers its line
+# takes, and a function from (input shape, dtype, numbers) to (layer, output
+# shape), so each layer gets its input channels and fan-in from the lines
+# before it.
 _KINDS = {
-    "conv2d": ((int, int, int), lambda shape, dtype, cout, kh, kw: (
+    "conv2d": (3, (int, int, int), lambda shape, dtype, cout, kh, kw: (
         nn.Conv2D(shape[2], cout, kh, kw, dtype=dtype), (shape[0], shape[1], cout))),
-    "conv1d": ((int, int), lambda shape, dtype, cout, k: (
+    "conv1d": (2, (int, int), lambda shape, dtype, cout, k: (
         nn.Conv1D(shape[1], cout, k, dtype=dtype), (shape[0], cout))),
-    "batchnorm": ((), lambda shape, dtype: (nn.BatchNorm(shape[-1], dtype=dtype), shape)),
-    "relu": ((), lambda shape, dtype: (nn.ReLU(), shape)),
-    "maxpool2d": ((int, int), lambda shape, dtype, ph, pw: (
+    "batchnorm": (None, (), lambda shape, dtype: (nn.BatchNorm(shape[-1], dtype=dtype), shape)),
+    "relu": (None, (), lambda shape, dtype: (nn.ReLU(), shape)),
+    "maxpool2d": (3, (int, int), lambda shape, dtype, ph, pw: (
         nn.MaxPool2D(ph, pw), (shape[0] // ph, shape[1] // pw, shape[2]))),
-    "maxpool1d": ((int,), lambda shape, dtype, p: (nn.MaxPool1D(p), (shape[0] // p, shape[1]))),
-    "globalavgpool": ((), lambda shape, dtype: (nn.GlobalAvgPool(), (shape[-1],))),
-    "dropout": ((float,), lambda shape, dtype, rate: (nn.Dropout(rate), shape)),
-    "flatten": ((), lambda shape, dtype: (nn.Flatten(), (int(np.prod(shape)),))),
-    "dense": ((int,), lambda shape, dtype, units: (
+    "maxpool1d": (2, (int,), lambda shape, dtype, p: (
+        nn.MaxPool1D(p), (shape[0] // p, shape[1]))),
+    "globalavgpool": (None, (), lambda shape, dtype: (nn.GlobalAvgPool(), (shape[-1],))),
+    "dropout": (None, (float,), lambda shape, dtype, rate: (nn.Dropout(rate), shape)),
+    "flatten": (None, (), lambda shape, dtype: (nn.Flatten(), (int(np.prod(shape)),))),
+    "dense": (1, (int,), lambda shape, dtype, units: (
         nn.Dense(shape[0], units, dtype=dtype), (units,))),
-    "softmax": ((), lambda shape, dtype: (nn.Softmax(), shape)),
-    "fire": ((int, int), lambda shape, dtype, squeeze, expand: (
+    "softmax": (None, (), lambda shape, dtype: (nn.Softmax(), shape)),
+    "fire": (3, (int, int), lambda shape, dtype, squeeze, expand: (
         nn.Fire(shape[2], squeeze, expand, dtype=dtype), (shape[0], shape[1], 2 * expand))),
 }
 
@@ -183,9 +186,11 @@ _KINDS = {
 def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
     """The shape pass: one layer per spec line, made by its kind's `_KINDS`
     entry, with its parameters allocated once in ``dtype`` and nothing drawn
-    (weights zero). The graph keeps the text. A line whose numbers are too
-    many, too few, unreadable by their types or refused by its layer is a
-    ValueError naming the line; an unknown kind is a CheckpointError."""
+    (weights zero). The graph keeps the text. An input line whose numbers
+    cannot be read, or a layer line whose numbers are too many, too few,
+    unreadable by their types or refused by its layer, or whose input shape
+    is not of its kind's rank, is a ValueError naming the line; an unknown
+    kind is a CheckpointError."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 4 or not lines[0].startswith("name ") \
             or not lines[1].startswith("variant ") or not lines[2].startswith("input "):
@@ -194,7 +199,10 @@ def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
     variant_id = lines[1].split()[1]
     if variant_id not in VARIANTS:
         raise nn.CheckpointError(f"unknown variant {variant_id!r}")
-    input_shape = tuple(int(t) for t in lines[2].split()[1:])
+    try:
+        input_shape = tuple(int(t) for t in lines[2].split()[1:])
+    except ValueError as exc:
+        raise ValueError(f"spec line {lines[2]!r}: {exc}") from None
 
     shape = input_shape
     layers = []
@@ -202,10 +210,12 @@ def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
         kind, *args = ln.split()
         if kind not in _KINDS:
             raise nn.CheckpointError(f"unknown layer kind {kind!r} in model spec")
-        types, make = _KINDS[kind]
+        rank, types, make = _KINDS[kind]
         try:
             if len(args) != len(types):
                 raise ValueError(f"{kind} takes {len(types)} numbers, got {len(args)}")
+            if rank not in (None, len(shape)):
+                raise ValueError(f"{kind} takes a rank-{rank} input, got shape {shape}")
             layer, shape = make(shape, dtype, *(read(arg) for read, arg in zip(types, args)))
         except ValueError as exc:
             raise ValueError(f"spec line {ln!r}: {exc}") from None

@@ -16,9 +16,12 @@ Spatial layout is channels-last: 2-D feature maps are (batch, height,
 width, channels), 1-D sequences are (batch, time, channels). Every layer
 implements an exact analytic backward pass; correctness is pinned by
 finite-difference tests rather than runtime checks. A layer's forward keeps
-on the layer what its backward reads; an eval forward through a ModelGraph
-drops that as soon as each layer is done (`_forget`), so inference holds no
-caches between calls.
+on the layer what its backward reads. A ModelGraph drops that as soon as
+each layer is done with it (`_forget`): an eval forward after each layer's
+forward, a train step's backward after each layer's backward. So inference
+holds no caches between calls, and a train step holds only the caches of
+the layers its backward has still to run. A layer called directly keeps
+its own.
 
 A Layer subclass declares only what differs from `Layer`: its Parameter
 attributes, set in checkpoint order; its sublayers, as attributes (Fire's
@@ -738,9 +741,10 @@ class Fire(Layer):
     def backward(self, gout):
         self._need_cache(self._relu_e1._mask)  # a backward before forward names fire
         e = self.expand_ch
-        ga = self._relu_e1.backward(gout[..., :e])
-        gb = self._relu_e3.backward(gout[..., e:])
-        gs = self.expand1.backward(ga) + self.expand3.backward(gb)
+        # one branch to its end, then the other added in (`_conv_same` returns
+        # a fresh array): neither ReLU gradient outlives its convolution
+        gs = self.expand1.backward(self._relu_e1.backward(gout[..., :e]))
+        gs += self.expand3.backward(self._relu_e3.backward(gout[..., e:]))
         return self.squeeze.backward(self._relu_sq.backward(gs))
 
 
@@ -807,13 +811,16 @@ class ModelGraph:
         """Backpropagate a gradient taken w.r.t. the final softmax's input.
 
         Returns None: the gradients land on the parameters. Each layer's
-        ``backward`` runs once, last to first; a first-layer convolution
-        computes no input gradient, since nothing would read it."""
+        ``backward`` runs once, last to first, and its caches are dropped as
+        soon as it returns; a first-layer convolution computes no input
+        gradient, since nothing would read it. The final softmax is never
+        backpropagated and keeps its output, the probabilities."""
         if not isinstance(self.layers[-1], Softmax):
             raise RuntimeError("graph does not end in softmax")
         g = dlogits.astype(self.dtype, copy=False)
         for layer in reversed(self.layers[:-1]):
             g = layer.backward(g)
+            _forget(layer)
 
     def parameters(self) -> list:
         return [p for layer in self.layers for _, p in layer.named_params()]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, models, nn
-from .audio import load_wav
+from .audio import UnsupportedWavError, load_wav
 from .evaluation import CLASS_INDEX
 
 log = logging.getLogger(__name__)
@@ -216,11 +216,14 @@ def cache_hit(cpath, wav, variant: features.FeatureVariant) -> bool:
 
 def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
     """The one front end, WAV file to float32 log-mel (the values LMSF stores):
-    decode, then `features.clip_log_mel`. Its errors get the path here;
-    ``load_wav``'s name the file already."""
+    decode, then `features.clip_log_mel`. Its errors get the path here, an
+    UnsupportedWavError keeping its type; ``load_wav``'s name the file
+    already."""
     clip = load_wav(wav_path)
     try:
         return features.clip_log_mel(clip, variant)
+    except UnsupportedWavError as exc:
+        raise UnsupportedWavError(f"{wav_path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{wav_path}: {exc}") from None
 
