@@ -237,9 +237,9 @@ def write_prediction_dump(path, clip_ids, true_labels, probs: np.ndarray) -> Non
 
 def read_prediction_dump(path):
     """Parse a dump back into (clip_ids, true label indices, (n,15) probs).
-    A probability that is negative, infinite or NaN is an error naming its
-    line."""
-    clip_ids, labels, rows = [], [], []
+    A probability that is negative, infinite or NaN, or a clip id read on an
+    earlier line, is an error naming its line."""
+    first, labels, rows = {}, [], []  # clip id -> the line that gave it, in file order
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -250,7 +250,10 @@ def read_prediction_dump(path):
                 raise ValueError(f"{path}:{lineno}: expected {2 + N_CLASSES} fields")
             if parts[1] not in CLASS_INDEX:
                 raise ValueError(f"{path}:{lineno}: unknown label {parts[1]!r}")
-            clip_ids.append(parts[0])
+            if parts[0] in first:
+                raise ValueError(f"{path}:{lineno}: clip {parts[0]!r} already read on line "
+                                 f"{first[parts[0]]}; a dump's clip set names each clip once")
+            first[parts[0]] = lineno
             labels.append(CLASS_INDEX[parts[1]])
             try:
                 row = [float(v) for v in parts[2:]]
@@ -260,4 +263,4 @@ def read_prediction_dump(path):
             if bad:
                 raise ValueError(f"{path}:{lineno}: probability {bad[0]} is negative or not finite")
             rows.append(row)
-    return clip_ids, np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)
+    return list(first), np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)

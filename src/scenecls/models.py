@@ -6,9 +6,11 @@ and its per-segment input shape, then one line per layer (``conv2d 16 7 7``,
 grammar knows of a layer kind: the rank of the input shape it accepts, the
 types of the numbers its line takes, and the function that turns (input
 shape, dtype, numbers) into the layer and its output shape. Every layer
-line takes exactly its kind's numbers and an input of its kind's rank; one
-number too many or too few, one its type cannot read, or an input of
-another rank is a ValueError naming the line. One loop with no branch on
+line takes exactly its kind's numbers and an input of its kind's rank, and
+every count on a line (the input's dimensions included) is a positive
+integer; one number too many or too few, one its type cannot read, an
+input of another rank, or an output shape with an empty axis is a
+ValueError naming the line. One loop with no branch on
 any kind builds the graph from that table: its shape pass gives each layer
 its input channels and fan-in from the lines before it and allocates the
 layer's parameters, and the graph keeps the text. `parse_model_spec`
@@ -156,29 +158,38 @@ def format_model_spec(graph: nn.ModelGraph) -> str:
     return graph.spec_text
 
 
+def _count(token: str) -> int:
+    """A spec line's count (a dimension, channels, a kernel or pool size,
+    units): a positive integer."""
+    n = int(token)
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {token!r}")
+    return n
+
+
 # The spec grammar's layer kinds. An entry is the rank of the per-sample
-# input shape the kind accepts (None: any), the types of the numbers its line
-# takes, and a function from (input shape, dtype, numbers) to (layer, output
-# shape), so each layer gets its input channels and fan-in from the lines
-# before it.
+# input shape the kind accepts (None: any), the readers of the numbers its
+# line takes (`_count` for every count), and a function from (input shape,
+# dtype, numbers) to (layer, output shape), so each layer gets its input
+# channels and fan-in from the lines before it.
 _KINDS = {
-    "conv2d": (3, (int, int, int), lambda shape, dtype, cout, kh, kw: (
+    "conv2d": (3, (_count, _count, _count), lambda shape, dtype, cout, kh, kw: (
         nn.Conv2D(shape[2], cout, kh, kw, dtype=dtype), (shape[0], shape[1], cout))),
-    "conv1d": (2, (int, int), lambda shape, dtype, cout, k: (
+    "conv1d": (2, (_count, _count), lambda shape, dtype, cout, k: (
         nn.Conv1D(shape[1], cout, k, dtype=dtype), (shape[0], cout))),
     "batchnorm": (None, (), lambda shape, dtype: (nn.BatchNorm(shape[-1], dtype=dtype), shape)),
     "relu": (None, (), lambda shape, dtype: (nn.ReLU(), shape)),
-    "maxpool2d": (3, (int, int), lambda shape, dtype, ph, pw: (
+    "maxpool2d": (3, (_count, _count), lambda shape, dtype, ph, pw: (
         nn.MaxPool2D(ph, pw), (shape[0] // ph, shape[1] // pw, shape[2]))),
-    "maxpool1d": (2, (int,), lambda shape, dtype, p: (
+    "maxpool1d": (2, (_count,), lambda shape, dtype, p: (
         nn.MaxPool1D(p), (shape[0] // p, shape[1]))),
     "globalavgpool": (None, (), lambda shape, dtype: (nn.GlobalAvgPool(), (shape[-1],))),
     "dropout": (None, (float,), lambda shape, dtype, rate: (nn.Dropout(rate), shape)),
     "flatten": (None, (), lambda shape, dtype: (nn.Flatten(), (int(np.prod(shape)),))),
-    "dense": (1, (int,), lambda shape, dtype, units: (
+    "dense": (1, (_count,), lambda shape, dtype, units: (
         nn.Dense(shape[0], units, dtype=dtype), (units,))),
     "softmax": (None, (), lambda shape, dtype: (nn.Softmax(), shape)),
-    "fire": (3, (int, int), lambda shape, dtype, squeeze, expand: (
+    "fire": (3, (_count, _count), lambda shape, dtype, squeeze, expand: (
         nn.Fire(shape[2], squeeze, expand, dtype=dtype), (shape[0], shape[1], 2 * expand))),
 }
 
@@ -187,10 +198,11 @@ def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
     """The shape pass: one layer per spec line, made by its kind's `_KINDS`
     entry, with its parameters allocated once in ``dtype`` and nothing drawn
     (weights zero). The graph keeps the text. An input line whose numbers
-    cannot be read, or a layer line whose numbers are too many, too few,
-    unreadable by their types or refused by its layer, or whose input shape
-    is not of its kind's rank, is a ValueError naming the line; an unknown
-    kind is a CheckpointError."""
+    are not positive integers, or a layer line whose numbers are too many,
+    too few, unreadable by their types or refused by its layer, whose input
+    shape is not of its kind's rank, or whose output shape has an empty
+    axis, is a ValueError naming the line; an unknown kind is a
+    CheckpointError."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 4 or not lines[0].startswith("name ") \
             or not lines[1].startswith("variant ") or not lines[2].startswith("input "):
@@ -200,7 +212,7 @@ def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
     if variant_id not in VARIANTS:
         raise nn.CheckpointError(f"unknown variant {variant_id!r}")
     try:
-        input_shape = tuple(int(t) for t in lines[2].split()[1:])
+        input_shape = tuple(_count(t) for t in lines[2].split()[1:])
     except ValueError as exc:
         raise ValueError(f"spec line {lines[2]!r}: {exc}") from None
 
@@ -217,6 +229,8 @@ def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
             if rank not in (None, len(shape)):
                 raise ValueError(f"{kind} takes a rank-{rank} input, got shape {shape}")
             layer, shape = make(shape, dtype, *(read(arg) for read, arg in zip(types, args)))
+            if 0 in shape:
+                raise ValueError(f"{kind} leaves an empty axis: output shape {shape}")
         except ValueError as exc:
             raise ValueError(f"spec line {ln!r}: {exc}") from None
         layers.append(layer)

@@ -45,7 +45,10 @@ blocked convolution of the output gradient by the flipped, in/out-swapped
 kernels, and a ModelGraph's first layer skips it. A one-channel input builds
 its patches tap-major, in one copy along whole padded rows, and the GEMMs
 read them transposed. Max pooling windows equal their stride and drop
-trailing remainders. The 1-D layers are the width-1 2-D ones.
+trailing remainders. The 1-D layers differ from the 2-D ones only in their
+constructors: Conv2D's and MaxPool2D's code runs on the `_as4` view, which
+gives an (N, T, C) sequence as (N, T, 1, C) and (out, k, in) kernels as
+(out, k, 1, in), and hands results back in the caller's rank.
 
 A pass over a batch is dealt out (`_deal`) in contiguous runs, one per core
 this process may run on (`cores`, its CPU affinity set): the first run in
@@ -405,10 +408,18 @@ def _conv_same(x, kmat, kh, kw, bias=None):
     return out.reshape(n, h, w, -1)
 
 
+def _as4(a):
+    """``a`` as an (N, H, W, C) array: an (N, T, C) sequence as its width-1
+    view (N, T, 1, C), (out, k, in) kernels as (out, k, 1, in), and a 4-D
+    array unchanged, an empty batch too (which a -1 axis could not size)."""
+    return a.reshape(a.shape[0], a.shape[1], math.prod(a.shape[2:-1]), a.shape[-1])
+
+
 class Conv2D(Layer):
     """Stride-1 same-padded 2-D convolution; kernels are (out, kh, kw, in)."""
 
     kind = "conv2d"
+    _layout = "N,H,W"  # the input axes before the channels, for the error
 
     def __init__(self, in_channels: int, out_channels: int, kh: int, kw: int,
                  rng: np.random.Generator | None = None, *, dtype=np.float64):
@@ -419,20 +430,18 @@ class Conv2D(Layer):
         if rng is not None:
             self.init_params(rng)
 
-    def _kernels4(self):  # (out, kh, kw, in); Conv1D views its (out, k, in) this way
-        return self.kernels.value
-
     def forward(self, x, train=False):
-        cout, kh, kw, cin = self._kernels4().shape
-        if x.ndim != 4 or x.shape[3] != cin:
-            raise ValueError(f"conv2d expects (N,H,W,{cin}) input, got {x.shape}")
+        kernels = _as4(self.kernels.value)
+        cout, kh, kw, cin = kernels.shape
+        if x.ndim != self.kernels.value.ndim or x.shape[-1] != cin:
+            raise ValueError(f"{self.kind} expects ({self._layout},{cin}) input, got {x.shape}")
         self._x = x
-        kmat = self._kernels4().transpose(1, 2, 3, 0).reshape(-1, cout)
-        return _conv_same(x, kmat, kh, kw, self.bias.value)
+        kmat = kernels.transpose(1, 2, 3, 0).reshape(-1, cout)
+        return _conv_same(_as4(x), kmat, kh, kw, self.bias.value).reshape(*x.shape[:-1], cout)
 
     def backward(self, gout):
-        x = self._need_cache(self._x)
-        kernels = self._kernels4()
+        x = _as4(self._need_cache(self._x))
+        kernels = _as4(self.kernels.value)
         cout, kh, kw, cin = kernels.shape
         gflat = gout.reshape(-1, cout)
         blocks, nbytes = _conv_blocks(x, kh, kw)
@@ -456,14 +465,17 @@ class Conv2D(Layer):
         # The adjoint of a same-padded odd-kernel convolution is the same
         # convolution of gout with each kernel flipped and in/out swapped.
         flipped = kernels[:, ::-1, ::-1, :].transpose(1, 2, 0, 3).reshape(-1, cin)
-        return _conv_same(gout, flipped, kh, kw)
+        return _conv_same(_as4(gout), flipped, kh, kw).reshape(self._x.shape)
 
 
 class Conv1D(Conv2D):
     """Stride-1 same-padded 1-D convolution over time; kernels (out, k, in).
-    The width-1 case of Conv2D: (N, T, C) runs as (N, T, 1, C)."""
+    It differs from Conv2D only in its constructor: Conv2D's code runs on
+    the width-1 `_as4` views, (N, T, 1, C) input and (out, k, 1, in)
+    kernels."""
 
     kind = "conv1d"
+    _layout = "N,T"
 
     def __init__(self, in_channels: int, out_channels: int, k: int,
                  rng: np.random.Generator | None = None, *, dtype=np.float64):
@@ -471,19 +483,6 @@ class Conv1D(Conv2D):
         # Conv2D's (out, k, 1, in) kernels in an array of their own without
         # the width axis: the same values in the same order, Glorot draws too
         self.kernels = Parameter(self.kernels.value[:, :, 0, :].copy())
-
-    def _kernels4(self):
-        return self.kernels.value[:, :, None, :]
-
-    def forward(self, x, train=False):
-        cin = self.kernels.value.shape[2]
-        if x.ndim != 3 or x.shape[2] != cin:
-            raise ValueError(f"conv1d expects (N,T,{cin}) input, got {x.shape}")
-        return super().forward(x[:, :, None, :], train)[:, :, 0, :]
-
-    def backward(self, gout):
-        gx = super().backward(gout[:, :, None, :])
-        return None if gx is None else gx[:, :, 0, :]
 
 
 class BatchNorm(Layer):
@@ -597,6 +596,7 @@ class MaxPool2D(Layer):
         return a[:, : h2 * self.ph, : w2 * self.pw, :].reshape(n, h2, self.ph, w2, self.pw, c)
 
     def forward(self, x, train=False):
+        shape, x = x.shape, _as4(x)
         h, w = x.shape[1:3]
         h2, w2 = h // self.ph, w // self.pw
         if h2 == 0 or w2 == 0:
@@ -618,13 +618,14 @@ class MaxPool2D(Layer):
             np.equal(w, o[:, :, None, :, None, :], out=hit[s0:s1])
 
         _deal(len(x), x.nbytes, run)
-        self._cache = (hit, x.shape)
-        return out
+        self._cache = (hit, shape)
+        return out.reshape(out.shape[:len(shape) - 1] + out.shape[-1:])
 
     def backward(self, gout):
         hit, in_shape = self._need_cache(self._cache)
         gx = np.zeros(in_shape, gout.dtype)
-        gwin = self._windows(gx, gout.shape[1], gout.shape[2])
+        gout = _as4(gout)
+        gwin = self._windows(_as4(gx), gout.shape[1], gout.shape[2])
 
         def run(s0, s1):
             g = gout[s0:s1]
@@ -641,18 +642,13 @@ class MaxPool2D(Layer):
 
 
 class MaxPool1D(MaxPool2D):
-    """Max pooling over time: the width-1 case of MaxPool2D on (N, T, 1, C)."""
+    """Max pooling over time. It differs from MaxPool2D only in its
+    constructor: MaxPool2D's code runs on the (N, T, 1, C) `_as4` view."""
 
     kind = "maxpool1d"
 
     def __init__(self, p: int):
         super().__init__(p, 1)
-
-    def forward(self, x, train=False):
-        return super().forward(x[:, :, None, :], train)[:, :, 0, :]
-
-    def backward(self, gout):
-        return super().backward(gout[:, :, None, :])[:, :, 0, :]
 
 
 class GlobalAvgPool(Layer):

@@ -111,6 +111,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         models.model_variant(self.model)  # rejects names outside the registry
 
     @property
@@ -148,7 +150,7 @@ def parse_config(path) -> TrainConfig:
     variant = values.pop("variant", None)
     try:
         cfg = TrainConfig(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if variant is not None and variant != cfg.variant.id:
         raise ValueError(
