@@ -8,10 +8,11 @@ resampler's polyphase sum runs as blocked matrix products (BLAS GEMMs).
 
 Beyond the decoded clip and its mono mix, a clip's preprocessing allocates
 no whole-clip array: normalizing divides in place, and the resampler copies
-its input windows block by block straight from the clip. Its temporaries
-thus stay under the C allocator's trim threshold, and their pages are
-reused from clip to clip instead of being returned to the kernel and
-faulted in again.
+its input windows block by block, each block's from the span of the clip
+it reads (a zero-padded copy of that span only where it crosses either
+end). Its temporaries thus stay under the C allocator's trim threshold, and
+their pages are reused from clip to clip instead of being returned to the
+kernel and faulted in again.
 """
 
 from __future__ import annotations
@@ -226,10 +227,11 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     alignment is needed. The sum runs as GEMMs: blocks of input windows cut
     by `nn._block_bounds` (as many rows as fit in _BLOCK_BYTES, the last
     block the rest), copied at the output stride, times the layout of
-    `_polyphase_layout`. Windows that lie inside the clip are copied from it
-    directly; only the rows whose window crosses either end read a
-    zero-padded copy of the span they cover, so no padded copy of the whole
-    input is made and a warm call allocates about its output plus one block.
+    `_polyphase_layout`. A block's windows all lie in one span of the input:
+    where that span lies inside the clip they are copied from it directly,
+    and where it crosses either end from a zero-padded copy of the span
+    (`_padded_span`). So no padded copy of the whole input is made, and a
+    warm call allocates about its output, one block and one padded span.
     A ratio whose filter would exceed _MAX_FILTER_BYTES is an
     UnsupportedWavError naming both rates.
     """
@@ -252,36 +254,25 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     if n_out == 0:
         return AudioClip(np.zeros((1, 0)), target_rate)
     rows = -(-n_out // phases)
-    # Row r's window is x[first + stride*r : first + stride*r + width], zero
-    # outside x. Rows [lo, hi) lie inside x and are copied straight from it;
-    # the few before lo or from hi on read a zero-padded copy of what they span.
-    lo = min(rows, -(first // stride))
-    hi = max(lo, min(rows, (len(x) - width - first) // stride + 1))
-    sources = [(s0, s1, _padded_windows(x, first + stride * s0, stride, width, s1 - s0))
-               for s0, s1 in ((0, lo), (hi, rows)) if s0 < s1]
-    if lo < hi:
-        sources.append((lo, hi, np.lib.stride_tricks.sliding_window_view(
-            x[first + stride * lo :], width)[::stride]))
-
     y = np.empty((rows, phases))
     bounds = _block_bounds(rows, width * y.itemsize)
     block = np.empty((bounds[0][1], width))
     for r0, r1 in bounds:
-        a = block[: r1 - r0]
-        for s0, s1, windows in sources:  # contiguous rows, so matmul uses BLAS
-            c0, c1 = max(r0, s0), min(r1, s1)
-            if c0 < c1:
-                np.copyto(a[c0 - r0 : c1 - r0], windows[c0 - s0 : c1 - s0])
+        # row r's window is x[first + stride*r : first + stride*r + width],
+        # zero outside x, so the block's rows read the n samples from s0 on
+        s0, n = first + stride * r0, stride * (r1 - r0 - 1) + width
+        span = x[s0 : s0 + n] if 0 <= s0 and s0 + n <= len(x) else _padded_span(x, s0, n)
+        a = block[: r1 - r0]  # contiguous rows, so matmul uses BLAS
+        np.copyto(a, np.lib.stride_tricks.sliding_window_view(span, width)[::stride])
         for p0, p1, offset, taps in groups:
             np.matmul(a[:, offset : offset + len(taps)], taps, out=y[r0:r1, p0:p1])
     return AudioClip(y.reshape(1, -1)[:, :n_out], target_rate)
 
 
-def _padded_windows(x: np.ndarray, start: int, stride: int, width: int, n: int) -> np.ndarray:
-    """The n windows x[start + stride*i : start + stride*i + width], reading
-    zeros outside x, as views into a zero-padded copy of the span they cover."""
-    span = np.zeros((n - 1) * stride + width)
-    a, b = max(start, 0), min(start + len(span), len(x))
+def _padded_span(x: np.ndarray, start: int, n: int) -> np.ndarray:
+    """x[start : start + n] as a new array, reading zeros outside x."""
+    span = np.zeros(n)
+    a, b = max(start, 0), min(start + n, len(x))
     if a < b:
         span[a - start : b - start] = x[a:b]
-    return np.lib.stride_tricks.sliding_window_view(span, width)[::stride]
+    return span

@@ -6,6 +6,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -222,8 +223,31 @@ def render_report(model_names, class_acc_columns, confusions=None):
 
 
 def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically (`nn.atomic_path`):
+    the encoding `text_lines` reads, whatever the locale."""
     with nn.atomic_path(path) as tmp:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
+
+
+def text_lines(path, comment=None):
+    """Yield (line number, text) for each line of the file at ``path`` that
+    is not blank once the text from ``comment`` on is cut; the text is the
+    line so cut, without its line break. The one reader of manifests,
+    configs and prediction dumps.
+
+    Lines end at LF, CRLF or CR, the breaks text mode reads, and each must
+    be UTF-8 with no NUL byte: any other line is a ValueError naming it.
+    """
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        if "\0" in text:
+            raise ValueError(f"{path}:{lineno}: NUL byte")
+        text = text.split(comment, 1)[0] if comment else text
+        if text.strip():
+            yield lineno, text
 
 
 def write_prediction_dump(path, clip_ids, true_labels, probs: np.ndarray) -> None:
@@ -240,27 +264,23 @@ def read_prediction_dump(path):
     A probability that is negative, infinite or NaN, or a clip id read on an
     earlier line, is an error naming its line."""
     first, labels, rows = {}, [], []  # clip id -> the line that gave it, in file order
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 + N_CLASSES:
-                raise ValueError(f"{path}:{lineno}: expected {2 + N_CLASSES} fields")
-            if parts[1] not in CLASS_INDEX:
-                raise ValueError(f"{path}:{lineno}: unknown label {parts[1]!r}")
-            if parts[0] in first:
-                raise ValueError(f"{path}:{lineno}: clip {parts[0]!r} already read on line "
-                                 f"{first[parts[0]]}; a dump's clip set names each clip once")
-            first[parts[0]] = lineno
-            labels.append(CLASS_INDEX[parts[1]])
-            try:
-                row = [float(v) for v in parts[2:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            bad = [v for v in row if not 0.0 <= v < math.inf]  # NaN fails too
-            if bad:
-                raise ValueError(f"{path}:{lineno}: probability {bad[0]} is negative or not finite")
-            rows.append(row)
+    for lineno, line in text_lines(path):
+        parts = line.strip().split(",")
+        if len(parts) != 2 + N_CLASSES:
+            raise ValueError(f"{path}:{lineno}: expected {2 + N_CLASSES} fields")
+        if parts[1] not in CLASS_INDEX:
+            raise ValueError(f"{path}:{lineno}: unknown label {parts[1]!r}")
+        if parts[0] in first:
+            raise ValueError(f"{path}:{lineno}: clip {parts[0]!r} already read on line "
+                             f"{first[parts[0]]}; a dump's clip set names each clip once")
+        first[parts[0]] = lineno
+        labels.append(CLASS_INDEX[parts[1]])
+        try:
+            row = [float(v) for v in parts[2:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        bad = [v for v in row if not 0.0 <= v < math.inf]  # NaN fails too
+        if bad:
+            raise ValueError(f"{path}:{lineno}: probability {bad[0]} is negative or not finite")
+        rows.append(row)
     return list(first), np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)

@@ -208,7 +208,7 @@ class Flatten(Layer):
 
     def forward(self, x, train=False):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def backward(self, gout):
         return gout.reshape(self._need_cache(self._shape))
@@ -394,18 +394,18 @@ def _conv_same(x, kmat, kh, kw, bias=None):
     along each sample's row as in BatchNorm."""
     n, h, w = x.shape[:3]
     out = np.empty((n * h * w, kmat.shape[1]), np.result_type(x, kmat))
-    rows = out.reshape(n, -1)  # a row per sample
+    rows = out.reshape(n, h * w * kmat.shape[1])  # a row per sample
     tbias = None if bias is None else np.tile(bias, h * w)
     blocks, nbytes = _conv_blocks(x, kh, kw)
 
     def gemms(b0, b1):
         for s0, s1 in blocks[b0:b1]:
             np.matmul(_patches(x[s0:s1], kh, kw), kmat, out=out[s0 * h * w : s1 * h * w])
-        if tbias is not None:
+        if tbias is not None and b0 < b1:  # an empty batch has no blocks
             rows[blocks[b0][0] : blocks[b1 - 1][1]] += tbias
 
     _deal(len(blocks), nbytes, gemms)
-    return out.reshape(n, h, w, -1)
+    return out.reshape(n, h, w, kmat.shape[1])
 
 
 def _as4(a):
@@ -516,12 +516,9 @@ class BatchNorm(Layer):
         mean = _channel_sums(x2) / len(x2) if train else self.running_mean
         tmean = np.tile(mean, reps)
         x_hat = np.empty(rows.shape, np.result_type(rows, tmean))
-
-        def centre(s0, s1):
-            np.subtract(rows[s0:s1], tmean, out=x_hat[s0:s1])
-
+        _deal(len(rows), rows.nbytes,
+              lambda s0, s1: np.subtract(rows[s0:s1], tmean, out=x_hat[s0:s1]))
         if train:
-            _deal(len(rows), rows.nbytes, centre)
             h2 = x_hat.reshape(-1, c)
             var = np.einsum("ij,ij->j", h2, h2) / len(x2)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
@@ -534,8 +531,6 @@ class BatchNorm(Layer):
         out = np.empty(rows.shape, np.result_type(x_hat, tgain))
 
         def scale_shift(s0, s1):
-            if not train:
-                centre(s0, s1)
             np.multiply(x_hat[s0:s1], tinv, out=x_hat[s0:s1])
             np.multiply(x_hat[s0:s1], tgain, out=out[s0:s1])
             out[s0:s1] += tshift

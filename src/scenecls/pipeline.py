@@ -70,26 +70,22 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     entries = []
     seen = {}  # resolved clip path -> its row
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected `path<TAB>label`, got {line!r}")
-            clip, label = parts[0].strip(), parts[1].strip()
-            if not clip:  # would resolve to the manifest's own directory
-                raise ValueError(f"{path}:{lineno}: empty clip path")
-            if label not in CLASS_INDEX:
-                raise ValueError(f"{path}:{lineno}: unknown scene label {label!r}")
-            if "," in clip:  # the field separator of prediction dumps
-                raise ValueError(f"{path}:{lineno}: comma in clip path {clip!r}")
-            wav = (path.parent / clip).resolve()
-            if wav in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate of line {seen[wav]}: {clip!r}")
-            seen[wav] = lineno
-            entries.append(ManifestEntry(clip, label, wav))
+    for lineno, line in evaluation.text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected `path<TAB>label`, got {line!r}")
+        clip, label = parts[0].strip(), parts[1].strip()
+        if not clip:  # would resolve to the manifest's own directory
+            raise ValueError(f"{path}:{lineno}: empty clip path")
+        if label not in CLASS_INDEX:
+            raise ValueError(f"{path}:{lineno}: unknown scene label {label!r}")
+        if "," in clip:  # the field separator of prediction dumps
+            raise ValueError(f"{path}:{lineno}: comma in clip path {clip!r}")
+        wav = (path.parent / clip).resolve()
+        if wav in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate of line {seen[wav]}: {clip!r}")
+        seen[wav] = lineno
+        entries.append(ManifestEntry(clip, label, wav))
     if not entries:
         log.warning("manifest %s is empty", path)
     return DatasetManifest(tuple(entries), path.parent)
@@ -129,24 +125,20 @@ def parse_config(path) -> TrainConfig:
     """Read a key=value config file; # starts a comment. Adadelta's constants
     are fixed. An unknown key, or one set twice, is an error naming its line."""
     values, first = {}, {}  # key -> its value, and the line that set it
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (t.strip() for t in line.split("=", 1))
-            if key not in _KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in first:
-                raise ValueError(f"{path}:{lineno}: {key} already set on line {first[key]}")
-            first[key] = lineno
-            try:
-                values[key] = int(value) if key in _INT_KEYS else value
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+    for lineno, line in evaluation.text_lines(path, comment="#"):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, value = (t.strip() for t in line.split("=", 1))
+        if key not in _KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: {key} already set on line {first[key]}")
+        first[key] = lineno
+        try:
+            values[key] = int(value) if key in _INT_KEYS else value
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
     variant = values.pop("variant", None)
     try:
         cfg = TrainConfig(**values)
