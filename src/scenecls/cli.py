@@ -107,8 +107,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_dumps(paths):
-    """Read dumps and align them on a common clip order; error on mismatch or
-    none. Returns (name, clip ids, labels, probs, confusion) per dump."""
+    """Read dumps and align them on a common clip order; error on none, or on
+    dumps that differ in their clip sets or in a clip's true label. Returns
+    (name, clip ids, labels, probs, confusion) per dump."""
     if not paths:
         raise ValueError("no prediction dumps given")
     loaded = []
@@ -120,11 +121,15 @@ def _load_dumps(paths):
     names = [name for name, _, _, _ in loaded]
     if len(set(names)) != len(names):
         raise ValueError(f"dump names collide: {names}; rename the files")
-    ref_ids = loaded[0][1]
-    for name, ids, _, _ in loaded[1:]:
+    _, ref_ids, ref_labels, _ = loaded[0]
+    for p, (name, ids, labels, _) in zip(paths[1:], loaded[1:]):
         if ids != ref_ids:
             missing = sorted(set(ref_ids) ^ set(ids))[:5]
             raise ValueError(f"dump {name} covers a different clip set (e.g. {missing})")
+        i = np.argmax(labels != ref_labels)  # the first clip they disagree on, if any
+        if labels[i] != ref_labels[i]:
+            raise ValueError(f"dumps {paths[0]} and {p} disagree on clip {ids[i]!r}: "
+                             f"labels {CLASSES[ref_labels[i]]} and {CLASSES[labels[i]]}")
     return [(*d, evaluation.confusion(zip(d[2], d[3]))) for d in loaded]
 
 

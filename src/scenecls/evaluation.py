@@ -107,8 +107,7 @@ def class_accuracy(cm: np.ndarray) -> np.ndarray:
     if cm.sum() == 0:
         raise ValueError("empty confusion matrix")
     row = cm.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        return np.where(row > 0, np.diag(cm) / np.where(row > 0, row, 1), np.nan)
+    return np.where(row > 0, np.diag(cm) / np.where(row > 0, row, 1), np.nan)
 
 
 def macro_accuracy(cm: np.ndarray) -> float:
@@ -151,8 +150,9 @@ def select_ensemble(candidates, baseline_acc: float, k: int = 3) -> EnsembleSpec
     Candidates are filtered to macro accuracy strictly above the baseline and
     sorted by accuracy. Selection seeds with the most accurate model, then
     greedily adds whichever candidate maximizes the mean pairwise argmax
-    disagreement of the grown set; ties fall back to higher accuracy, then to
-    name order.
+    disagreement of the grown set, by `max` over the pool: it keeps the
+    first of equal scores, and the pool stays in (accuracy desc, name asc)
+    order, so ties fall back to higher accuracy, then to name order.
     """
     if k < 2:
         raise ValueError("an ensemble needs at least 2 members")
@@ -167,13 +167,7 @@ def select_ensemble(candidates, baseline_acc: float, k: int = 3) -> EnsembleSpec
     chosen = [viable[0]]
     pool = viable[1:]
     while pool and len(chosen) < k:
-        # pool stays in (accuracy desc, name asc) order, so replacing only on
-        # a strictly better score applies exactly those tie-breaks
-        best, best_score = None, -1.0
-        for c in pool:
-            score = _set_disagreement([argmaxes[m.name] for m in chosen] + [argmaxes[c.name]])
-            if score > best_score:
-                best, best_score = c, score
+        best = max(pool, key=lambda c: _set_disagreement([argmaxes[m.name] for m in chosen + [c]]))
         chosen.append(best)
         pool.remove(best)
     return EnsembleSpec(tuple(c.name for c in chosen))
@@ -201,25 +195,25 @@ def render_report(model_names, class_acc_columns, confusions=None):
             out += "  " + c.rjust(wdt)
         return out
 
-    text_lines = [fmt_line("Acoustic Scene", model_names)]
+    table = [fmt_line("Acoustic Scene", model_names)]
     csv_lines = ["class," + ",".join(model_names)]
     for i, cls in enumerate(CLASSES):
         cells = [cell(col[i]) for col in class_acc_columns]
-        text_lines.append(fmt_line(cls, cells))
+        table.append(fmt_line(cls, cells))
         csv_lines.append(cls + "," + ",".join(cells))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         averages = [cell(np.nanmean(col)) for col in class_acc_columns]
-    text_lines.append(fmt_line("Average Accuracy", averages))
+    table.append(fmt_line("Average Accuracy", averages))
     csv_lines.append("Average Accuracy," + ",".join(averages))
 
     if confusions:
         for mname, cm in zip(model_names, confusions):
-            text_lines.append("")
-            text_lines.append(f"Confusion matrix: {mname} (rows true, cols predicted)")
+            table.append("")
+            table.append(f"Confusion matrix: {mname} (rows true, cols predicted)")
             for row in cm:
-                text_lines.append(" ".join(f"{int(v):4d}" for v in row))
-    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
+                table.append(" ".join(f"{int(v):4d}" for v in row))
+    return "\n".join(table) + "\n", "\n".join(csv_lines) + "\n"
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -262,7 +256,8 @@ def write_prediction_dump(path, clip_ids, true_labels, probs: np.ndarray) -> Non
 def read_prediction_dump(path):
     """Parse a dump back into (clip_ids, true label indices, (n,15) probs).
     A probability that is negative, infinite or NaN, or a clip id read on an
-    earlier line, is an error naming its line."""
+    earlier line, is an error naming its line; a dump with no rows is an
+    error naming the file."""
     first, labels, rows = {}, [], []  # clip id -> the line that gave it, in file order
     for lineno, line in text_lines(path):
         parts = line.strip().split(",")
@@ -283,4 +278,6 @@ def read_prediction_dump(path):
         if bad:
             raise ValueError(f"{path}:{lineno}: probability {bad[0]} is negative or not finite")
         rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no prediction rows")
     return list(first), np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64)

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioClip, downmix_mono, normalize_amplitude, resample
-from .nn import _block_bounds
+from .nn import _block_bounds, atomic_path
 
 LOG_FLOOR = 1e-10
 N_MELS = 64
@@ -254,12 +254,14 @@ def lmsf_size(variant: FeatureVariant) -> int:
 
 
 def save_features(path, spec: LogMelSpectrogram) -> None:
-    """Write a spectrogram cache file (32-bit float payload, little-endian)."""
+    """Write a spectrogram cache file (32-bit float payload, little-endian),
+    atomically (`nn.atomic_path`): a write that fails leaves neither the
+    file nor a temp file."""
     rows, cols = spec.data.shape
     header = _LMSF_MAGIC + struct.pack(
         "<BBII", _LMSF_VERSION, _VARIANT_CODES[spec.variant.id], rows, cols
     )
-    with open(path, "wb") as fh:
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(spec.data, dtype="<f4").tobytes())
 

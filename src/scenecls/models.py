@@ -53,6 +53,11 @@ def _conv_blocks(convs, pool: str) -> list:
     return lines
 
 
+def _scaled(n: int, width: float) -> int:
+    """A builder's channel count ``n`` at ``width``: rounded, at least 1."""
+    return max(1, round(n * width))
+
+
 def _dense_head(dropout_rate: float, dense_units: int) -> list:
     return [f"dropout {float(dropout_rate)!r}", "flatten", f"dense {dense_units}", "relu",
             f"dense {N_CLASSES}", "softmax"]
@@ -84,14 +89,11 @@ def build_squeezenet_mini(variant: FeatureVariant = V1, *, seed: int = 0,
                           name: str | None = None) -> nn.ModelGraph:
     """Entry conv plus six fire modules separated by 2x2 pools, closed by a
     1x1 conv to 15 channels, global average pooling and softmax."""
-
-    def ch(n):
-        return max(1, round(n * width))
-
-    layers = [f"conv2d {ch(64)} 3 3", "batchnorm", "relu"]
+    layers = [f"conv2d {_scaled(64, width)} 3 3", "batchnorm", "relu"]
     fires = [(16, 64), (16, 64), (32, 128), (32, 128), (48, 192), (64, 256)]
     for i, (squeeze, expand) in enumerate(fires):
-        layers += (["maxpool2d 2 2"] if i % 2 == 0 else []) + [f"fire {ch(squeeze)} {ch(expand)}"]
+        fire = f"fire {_scaled(squeeze, width)} {_scaled(expand, width)}"
+        layers += (["maxpool2d 2 2"] if i % 2 == 0 else []) + [fire]
     layers += [f"dropout {float(dropout_rate)!r}", f"conv2d {N_CLASSES} 1 1", "batchnorm",
                "relu", "globalavgpool", "softmax"]
     return _spec_graph(name or f"squeezenet-{variant.id}", variant,
@@ -102,11 +104,7 @@ def build_cnn1d(variant: FeatureVariant = V1, *, seed: int = 0, width: float = 1
                 dense_units: int = 512, dropout_rate: float = 0.5,
                 name: str | None = None) -> nn.ModelGraph:
     """Width-5 convolutions over time only; the 64 mel bins enter as channels."""
-
-    def ch(n):
-        return max(1, round(n * width))
-
-    layers = _conv_blocks([f"conv1d {ch(n)} 5" for n in (64, 128, 256)], "maxpool1d 3")
+    layers = _conv_blocks([f"conv1d {_scaled(n, width)} 5" for n in (64, 128, 256)], "maxpool1d 3")
     layers += _dense_head(dropout_rate, dense_units)
     return _spec_graph(name or f"cnn1d-{variant.id}", variant,
                        (variant.segment_frames, variant.n_mels), layers, seed)
@@ -208,7 +206,9 @@ def _build_from_spec(text: str, dtype) -> nn.ModelGraph:
             or not lines[1].startswith("variant ") or not lines[2].startswith("input "):
         raise nn.CheckpointError("model spec must start with name/variant/input lines")
     name = lines[0].split(None, 1)[1]
-    variant_id = lines[1].split()[1]
+    variant_id, *extra = lines[1].split()[1:]
+    if extra:
+        raise ValueError(f"spec line {lines[1]!r}: variant takes one name, got {1 + len(extra)}")
     if variant_id not in VARIANTS:
         raise nn.CheckpointError(f"unknown variant {variant_id!r}")
     try:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, features, models, nn
-from .audio import UnsupportedWavError, load_wav
+from .audio import load_wav
 from .evaluation import CLASS_INDEX
 
 log = logging.getLogger(__name__)
@@ -210,16 +210,14 @@ def cache_hit(cpath, wav, variant: features.FeatureVariant) -> bool:
 
 def extract_clip(wav_path, variant: features.FeatureVariant) -> features.LogMelSpectrogram:
     """The one front end, WAV file to float32 log-mel (the values LMSF stores):
-    decode, then `features.clip_log_mel`. Its errors get the path here, an
-    UnsupportedWavError keeping its type; ``load_wav``'s name the file
-    already."""
+    decode, then `features.clip_log_mel`. Its errors get the path here and
+    keep their type (a plain ValueError, or the resampler's
+    UnsupportedWavError); ``load_wav``'s name the file already."""
     clip = load_wav(wav_path)
     try:
         return features.clip_log_mel(clip, variant)
-    except UnsupportedWavError as exc:
-        raise UnsupportedWavError(f"{wav_path}: {exc}") from None
     except ValueError as exc:
-        raise ValueError(f"{wav_path}: {exc}") from None
+        raise type(exc)(f"{wav_path}: {exc}") from None
 
 
 def clip_features(wav_path, variant: features.FeatureVariant,
@@ -240,8 +238,7 @@ def clip_features(wav_path, variant: features.FeatureVariant,
             log.warning("%s; extracting again", exc)
     spec = extract_clip(wav_path, variant)
     cpath.parent.mkdir(parents=True, exist_ok=True)
-    with nn.atomic_path(cpath) as tmp:
-        features.save_features(tmp, spec)
+    features.save_features(cpath, spec)
     return spec
 
 

@@ -13,16 +13,21 @@ Per model, at the given seed (default 0):
          of that checkpoint
 
 Usage: PYTHONPATH=src python tools/bit_digest.py [seed]
+OPENBLAS_NUM_THREADS defaults to 1, as the benchmark sets it: the step,
+ckpt and row digests depend on OpenBLAS's thread count.
 """
 
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from scenecls import evaluation, models, nn
+import numpy as np  # noqa: E402
+
+from scenecls import evaluation, models, nn  # noqa: E402
 
 
 def digest(*arrays) -> str:

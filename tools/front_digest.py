@@ -9,15 +9,19 @@ of a seeded stereo clip of the given length (default 10 s) at that rate:
 the downmix, normalization, resampler and log-mel together.
 
 Usage: PYTHONPATH=src python tools/front_digest.py [seed] [seconds]
+OPENBLAS_NUM_THREADS defaults to 1, as the benchmark sets it.
 """
 
 import hashlib
+import os
 import sys
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from scenecls import features
-from scenecls.audio import AudioClip
+import numpy as np  # noqa: E402
+
+from scenecls import features  # noqa: E402
+from scenecls.audio import AudioClip  # noqa: E402
 
 STANDARD_RATES = (8000, 11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000, 176400, 192000)
 EXTRA_RATES = {"v1": (16001, 16383)}
